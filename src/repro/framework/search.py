@@ -152,15 +152,13 @@ class SearchTracker:
     def prefers_matrix(self) -> bool:
         """True when the gene-matrix views hit the native matrix fast path.
 
-        The scalar engines (and non-two-level hierarchies) evaluate
-        matrices by converting back to genomes, so a search loop gains
-        nothing from packing its population — optimizers consult this to
-        keep the original per-genome loop in those configurations
-        (trajectories are bit-identical either way).
+        The vector engine prices matrices of any hierarchy depth natively.
+        The scalar engines evaluate matrices by converting back to genomes,
+        so a search loop gains nothing from packing its population —
+        optimizers consult this to keep the per-genome loop under those
+        engines (trajectories are bit-identical either way).
         """
-        return (
-            self.evaluator.engine == "vector" and self.space.num_levels == 2
-        )
+        return self.evaluator.engine == "vector"
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         """Evaluate a gene-matrix population in one call; returns fitnesses.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,25 @@ def reject_resume(tracker: SearchTracker) -> None:
             "a checkpoint was restored but this search configuration "
             "cannot resume it; rerun the original configuration or clear "
             "the checkpoint directory"
+        )
+
+
+def warn_checkpoints_skipped(tracker: SearchTracker, loop: str) -> None:
+    """Warn once per search that a per-genome loop ignores checkpointing.
+
+    The per-genome loops (taken under the scalar engines and by tracker
+    stubs without the matrix view) announce no generation boundaries, so
+    an attached checkpoint session would otherwise do nothing silently:
+    no checkpoint is written and interrupts are never polled.
+    """
+    if getattr(tracker, "checkpoint_session", None) is not None:
+        warnings.warn(
+            f"{loop} runs its per-genome loop in this configuration (a "
+            "scalar engine or a tracker without the gene-matrix view); it "
+            "writes no checkpoints and does not poll interrupts, so "
+            "checkpoint_dir and checkpoint_every have no effect",
+            RuntimeWarning,
+            stacklevel=3,
         )
 
 

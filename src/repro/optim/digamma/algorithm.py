@@ -24,6 +24,7 @@ from repro.optim.base import (
     evaluate_genomes,
     reject_resume,
     resume_state,
+    warn_checkpoints_skipped,
 )
 from repro.optim.digamma import operators
 
@@ -92,14 +93,15 @@ class DiGamma(Optimizer):
         sampler (:func:`repro.optim.digamma.operators.seeded_genome`)
         instead of the uniform random sampler.
     use_matrix:
-        When True (default) and the tracker exposes the gene-matrix view
-        (:meth:`~repro.framework.search.SearchTracker.evaluate_matrix`),
-        the generation loop keeps the population as a
+        When True (default) and the tracker prefers the gene-matrix view
+        (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`: the
+        vector engine, at any hierarchy depth), the generation loop keeps
+        the population as a
         :class:`~repro.encoding.genome_matrix.GenomeMatrix` and applies the
         row-twin operators — same RNG stream, same fitnesses, no per-member
-        ``Genome`` allocation.  Custom trackers without the matrix view
-        (and ``use_matrix=False``, kept for the parity tests) take the
-        original per-genome loop.
+        ``Genome`` allocation.  The scalar engines, custom trackers without
+        the matrix view and ``use_matrix=False`` (kept for the parity
+        tests) take the per-genome loop.
     """
 
     name = "DiGamma"
@@ -195,12 +197,14 @@ class DiGamma(Optimizer):
                 return
 
     def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The original per-genome loop (compatibility shim for trackers
-        without the matrix view; pinned against the matrix loop by the
-        trajectory-parity tests).  Not checkpointable: configurations on
-        this path never write checkpoints, and resuming one written by the
-        matrix loop is rejected loudly rather than silently restarted."""
+        """The per-genome loop (scalar engines, trackers without the matrix
+        view, ``use_matrix=False``; pinned against the matrix loop by the
+        trajectory-parity tests).  Not checkpointable: it warns when a
+        checkpoint session is attached, and resuming a checkpoint written
+        by the matrix loop is rejected loudly rather than silently
+        restarted."""
         reject_resume(tracker)
+        warn_checkpoints_skipped(tracker, self.name)
         params = self.hyper_parameters
         space = tracker.space
         population_size = params.resolved_population(tracker.sampling_budget)

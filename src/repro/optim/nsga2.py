@@ -10,10 +10,11 @@ tracker archives every valid evaluation, while NSGA-II's selection spreads
 the sampling budget across the front instead of collapsing onto a single
 scalarized optimum.
 
-Evaluation goes exclusively through the tracker's batched results view
-(:meth:`~repro.framework.search.SearchTracker.evaluate_batch_results`):
-whole generations are priced in one vector-engine pass, exactly like the
-single-objective population algorithms.
+Evaluation goes exclusively through the tracker's batched results views
+(:meth:`~repro.framework.search.SearchTracker.evaluate_matrix_results`, or
+:meth:`~repro.framework.search.SearchTracker.evaluate_batch_results` on
+the per-genome loop): whole generations are priced in one call, exactly
+like the single-objective population algorithms.
 
 Run without an objective set, each evaluation's ranking vector degrades to
 the scalar objective value, turning NSGA-II into a plain elitist GA — so
@@ -37,6 +38,7 @@ from repro.optim.base import (
     checkpoint_generation,
     reject_resume,
     resume_state,
+    warn_checkpoints_skipped,
 )
 from repro.optim.digamma import operators
 
@@ -96,6 +98,14 @@ class NSGA2(Optimizer):
         Fraction of the initial population drawn from the domain-informed
         sampler instead of the uniform random sampler (same prior as
         DiGamma: budget-filling PE arrays, large parallel dimensions).
+    use_matrix:
+        When True (default) and the tracker prefers the gene-matrix view
+        (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`: the
+        vector engine, at any hierarchy depth), the generation loop runs
+        on :class:`~repro.encoding.genome_matrix.GenomeMatrix` rows with
+        the row-twin operators — same RNG stream, same fronts.  The scalar
+        engines, trackers without the matrix view and ``use_matrix=False``
+        (kept for the parity tests) take the per-genome loop.
     """
 
     name = "NSGA-II"
@@ -204,9 +214,12 @@ class NSGA2(Optimizer):
             values = [combined_values[i] for i in survivors]
 
     def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The original per-genome loop (compatibility shim; pinned against
-        the matrix loop by the trajectory-parity tests)."""
+        """The per-genome loop (scalar engines, trackers without the matrix
+        view, ``use_matrix=False``; pinned against the matrix loop by the
+        trajectory-parity tests).  Not checkpointable: it warns when a
+        checkpoint session is attached and rejects restored state."""
         reject_resume(tracker)
+        warn_checkpoints_skipped(tracker, self.name)
         evaluate = getattr(tracker, "evaluate_batch_results", None)
         if evaluate is None:
             raise TypeError(

@@ -21,6 +21,7 @@ from repro.optim.base import (
     evaluate_genomes,
     reject_resume,
     resume_state,
+    warn_checkpoints_skipped,
 )
 from repro.workloads.dims import DIMS
 
@@ -28,11 +29,12 @@ from repro.workloads.dims import DIMS
 class StandardGA(Optimizer):
     """Elitist GA with uniform crossover and per-gene random mutation.
 
-    The generation loop runs gene-matrix-native when the tracker exposes
-    :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` (same RNG
-    stream and fitnesses as the per-genome form, pinned by the trajectory-
-    parity tests); trackers without the matrix view — and
-    ``use_matrix=False`` — take the original per-genome loop.
+    The generation loop runs gene-matrix-native when the tracker prefers
+    the matrix view (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`:
+    the vector engine, at any hierarchy depth) — same RNG stream and
+    fitnesses as the per-genome form, pinned by the trajectory-parity
+    tests.  The scalar engines, trackers without the matrix view and
+    ``use_matrix=False`` take the per-genome loop.
     """
 
     name = "stdGA"
@@ -118,7 +120,11 @@ class StandardGA(Optimizer):
                 return
 
     def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
+        """The per-genome loop (scalar engines, trackers without the matrix
+        view, ``use_matrix=False``).  Not checkpointable: it warns when a
+        checkpoint session is attached and rejects restored state."""
         reject_resume(tracker)
+        warn_checkpoints_skipped(tracker, self.name)
         space = tracker.space
         population = space.random_population(self.population_size, rng)
         fitnesses = evaluate_genomes(tracker, population)

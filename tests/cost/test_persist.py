@@ -10,6 +10,7 @@ results.
 import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.cost.cache import LRUCache
@@ -23,6 +24,8 @@ from repro.cost.persist import (
     statics_blob,
     tuple_key_digest,
 )
+from repro.encoding.genome import GenomeSpace
+from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix, row_cache_key
 from repro.workloads.statics import layer_statics
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.objective import Objective
@@ -252,6 +255,39 @@ class TestDigestScheme:
         assert matrix_row_digest(namespace, blob, fingerprint) == matrix_row_digest(
             namespace, blob, other_token
         )
+
+    @pytest.mark.parametrize("num_levels", [1, 2, 3])
+    def test_tuple_keyed_store_serves_the_matrix_path(
+        self, tiny_model, tmp_path, num_levels
+    ):
+        # A store filled through evaluate_model_batch (tuple digests, the
+        # per-genome loops) must answer every evaluate_model_matrix row
+        # (row digests, the matrix loops) at any depth, so one directory
+        # stays fully warm whichever loop a search takes.
+        space = GenomeSpace.from_model(tiny_model, max_pes=256, num_levels=num_levels)
+        population = space.random_population(12, np.random.default_rng(num_levels))
+        matrix = repaired_matrix(GenomeMatrix.from_genomes(population), space).data
+        keys = [row_cache_key(row, num_levels) for row in matrix.tolist()]
+
+        writer = CostModel()
+        writer.attach_persistent_cache(PersistentLayerCache(tmp_path))
+        written = writer.evaluate_model_batch(tiny_model, keys, NOC, DRAM)
+        assert writer.vector_stats["l2_writes"] > 0
+        writer.layer_cache.tier.close()
+
+        reader = CostModel()
+        reader.attach_persistent_cache(PersistentLayerCache(tmp_path))
+        served = reader.evaluate_model_matrix(tiny_model, matrix, NOC, DRAM)
+        stats = reader.vector_stats
+        assert stats["l2_hits"] > 0
+        assert stats["l2_misses"] == 0 and stats["l2_writes"] == 0
+        assert stats["rows_vectorized"] == 0
+        for a, b in zip(served, written):
+            assert a.latency == b.latency
+            assert a.energy == b.energy
+            assert [layer.latency for layer in a.layers] == [
+                layer.latency for layer in b.layers
+            ]
 
 
 class TestCostModelTiering:

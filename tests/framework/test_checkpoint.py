@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,8 +64,9 @@ def make_checkpoint(generation: int = 3) -> SearchCheckpoint:
 
 
 def run_search(tiny_model, optimizer_name, *, checkpoint_dir=None,
-               interrupt_check=None, checkpoint_every=1, seed=3):
-    framework = CoOptimizationFramework(tiny_model, EDGE)
+               interrupt_check=None, checkpoint_every=1, seed=3,
+               **framework_kwargs):
+    framework = CoOptimizationFramework(tiny_model, EDGE, **framework_kwargs)
     try:
         return framework.search(
             get_optimizer(optimizer_name),
@@ -201,20 +203,24 @@ class TestResumeStateGuards:
 
 
 class TestBitIdenticalResume:
+    @pytest.mark.parametrize("num_levels", [2, 3])
     @pytest.mark.parametrize("name", RESUMABLE)
     def test_interrupt_and_resume_matches_uninterrupted_run(
-        self, tmp_path, tiny_model, name
+        self, tmp_path, tiny_model, name, num_levels
     ):
-        control = run_search(tiny_model, name)
+        control = run_search(tiny_model, name, num_levels=num_levels)
         with pytest.raises(SearchInterrupted):
             run_search(
                 tiny_model, name,
                 checkpoint_dir=tmp_path,
                 interrupt_check=InterruptAfter(2),
+                num_levels=num_levels,
             )
         files = list(tmp_path.glob("*.ckpt.json"))
         assert len(files) == 1
-        resumed = run_search(tiny_model, name, checkpoint_dir=tmp_path)
+        resumed = run_search(
+            tiny_model, name, checkpoint_dir=tmp_path, num_levels=num_levels
+        )
         assert resumed.history == control.history
         assert resumed.evaluations == control.evaluations
         assert resumed.best.fitness == control.best.fitness
@@ -295,10 +301,46 @@ class TestBitIdenticalResume:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestPerGenomeLoopsSkipCheckpoints:
+    """The scalar engines keep the per-genome loops, which announce no
+    generation boundaries: they must say so instead of silently ignoring
+    the checkpoint directory."""
+
+    @pytest.mark.parametrize("name", ["digamma", "stdga", "nsga2"])
+    def test_scalar_engine_warns_and_writes_nothing(
+        self, tmp_path, tiny_model, name
+    ):
+        control = run_search(tiny_model, name, engine="fast")
+        interrupt = InterruptAfter(2)
+        with pytest.warns(RuntimeWarning, match="writes no checkpoints") as caught:
+            result = run_search(
+                tiny_model, name,
+                checkpoint_dir=tmp_path,
+                interrupt_check=interrupt,
+                engine="fast",
+            )
+        assert len(caught) == 1
+        assert interrupt.calls == 0
+        assert list(tmp_path.glob("*.ckpt.json")) == []
+        assert result.history == control.history
+        assert result.evaluations == BUDGET
+
+    def test_no_warning_when_nothing_is_skipped(self, tmp_path, tiny_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # Per-genome loop without a checkpoint directory.
+            run_search(tiny_model, "digamma", engine="fast")
+            # Matrix loop (any depth) with one.
+            run_search(
+                tiny_model, "digamma", checkpoint_dir=tmp_path, num_levels=3
+            )
+
+
 class TestParetoResume:
-    def run_pareto(self, tiny_model, *, checkpoint_dir=None, interrupt_check=None):
+    def run_pareto(self, tiny_model, *, checkpoint_dir=None,
+                   interrupt_check=None, num_levels=2):
         framework = CoOptimizationFramework(
-            tiny_model, EDGE, objectives="latency,energy"
+            tiny_model, EDGE, objectives="latency,energy", num_levels=num_levels
         )
         try:
             return framework.pareto_search(
@@ -313,18 +355,22 @@ class TestParetoResume:
         finally:
             framework.close()
 
+    @pytest.mark.parametrize("num_levels", [2, 3])
     def test_interrupted_pareto_search_resumes_bit_identically(
-        self, tmp_path, tiny_model
+        self, tmp_path, tiny_model, num_levels
     ):
-        control = self.run_pareto(tiny_model)
+        control = self.run_pareto(tiny_model, num_levels=num_levels)
         with pytest.raises(SearchInterrupted):
             self.run_pareto(
                 tiny_model,
                 checkpoint_dir=tmp_path,
                 interrupt_check=InterruptAfter(2),
+                num_levels=num_levels,
             )
         assert list(tmp_path.glob("*.ckpt.json"))
-        resumed = self.run_pareto(tiny_model, checkpoint_dir=tmp_path)
+        resumed = self.run_pareto(
+            tiny_model, checkpoint_dir=tmp_path, num_levels=num_levels
+        )
         assert resumed.evaluations == control.evaluations
         control_front = [point.objective_vector for point in control.front]
         resumed_front = [point.objective_vector for point in resumed.front]

@@ -80,7 +80,7 @@ class TestMatrixMatchesGenomePath:
         ):
             _assert_results_identical(a, b)
 
-    def test_three_level_hierarchies_fall_back_to_genomes(self, ncf):
+    def test_three_level_hierarchies_price_natively(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
         reference = DesignEvaluator(model=ncf, platform=EDGE)
         space, genomes, matrix = _repaired_population(
@@ -89,8 +89,12 @@ class TestMatrixMatchesGenomePath:
         for result, genome in zip(
             evaluator.evaluate_matrix(matrix), genomes
         ):
+            assert isinstance(result, RowGenomeResult)
             want = reference.evaluate_genome(repaired_copy(genome, space))
             _assert_results_identical(result, want)
+        stats = evaluator.cost_model.vector_stats
+        assert stats["rows_vectorized"] > 0
+        assert stats["fallback_depth"] == 0
 
     def test_fill_buffer_allocation_matches(self, ncf):
         filled = DesignEvaluator(model=ncf, platform=EDGE, buffer_allocation="fill")
@@ -247,6 +251,19 @@ class TestDeltaEvaluation:
 
 
 class TestTrackerMatrixViews:
+    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("engine", ["vector", "fast", "reference"])
+    def test_prefers_matrix_depends_on_the_engine_only(
+        self, ncf, engine, num_levels
+    ):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE, engine=engine)
+        tracker = SearchTracker(
+            evaluator,
+            evaluator.genome_space(num_levels=num_levels),
+            sampling_budget=10,
+        )
+        assert tracker.prefers_matrix is (engine == "vector")
+
     def test_matches_the_genome_batch_view(self, resnet18):
         def make():
             evaluator = DesignEvaluator(model=resnet18, platform=EDGE)

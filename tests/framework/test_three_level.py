@@ -13,6 +13,7 @@ from repro.cost.maestro import CostModel
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.repair import repair_genome
 from repro.framework.cooptimizer import CoOptimizationFramework
+from repro.framework.search import SearchTracker
 from repro.mapping.directives import LevelMapping
 from repro.mapping.mapping import Mapping
 from repro.mapping.tiles import buffer_requirements
@@ -98,6 +99,28 @@ class TestSearchThreeLevels:
         stats = framework.evaluator.cost_model.vector_stats
         assert stats["rows_vectorized"] > 0
         assert stats["fallback_depth"] == 0
+
+    def test_three_level_search_runs_the_matrix_loop(self, tiny_model, monkeypatch):
+        # Under the vector engine the generation loop itself is
+        # depth-general: a three-level search feeds gene matrices to the
+        # tracker and never touches the per-genome batch view.
+        matrix_calls = []
+        evaluate_matrix = SearchTracker.evaluate_matrix
+
+        def spy_matrix(tracker, matrix):
+            matrix_calls.append(matrix.num_levels)
+            return evaluate_matrix(tracker, matrix)
+
+        def refuse_genomes(tracker, genomes):
+            raise AssertionError("the per-genome loop ran")
+
+        monkeypatch.setattr(SearchTracker, "evaluate_matrix", spy_matrix)
+        monkeypatch.setattr(SearchTracker, "evaluate_batch", refuse_genomes)
+        framework = CoOptimizationFramework(tiny_model, EDGE, num_levels=3)
+        result = framework.search(DiGamma(), sampling_budget=250, seed=0)
+        assert result.evaluations == 250
+        assert len(matrix_calls) > 1
+        assert set(matrix_calls) == {3}
 
     def test_real_layer_three_level_vs_two_level(self):
         # Both hierarchies must produce sane designs for a real conv layer.

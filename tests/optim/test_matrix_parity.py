@@ -3,8 +3,9 @@
 The hard invariant of this repository's perf work: rewriting a search
 inner loop must not change *anything* about the search — the RNG stream,
 the fitness sequence, the best design, the history.  Every matrix-native
-loop is pinned here against its per-genome twin, and the engine selectors
-and delta evaluation are pinned against each other through whole searches.
+loop is pinned here against its per-genome twin at hierarchy depths 1-4,
+and the engine selectors and delta evaluation are pinned against each
+other through whole searches.
 """
 
 from __future__ import annotations
@@ -36,24 +37,35 @@ def _search(model, optimizer, budget=600, seed=3, **framework_kwargs):
     return framework.search(optimizer, sampling_budget=budget, seed=seed)
 
 
+#: Hierarchy depths every matrix loop is pinned at: the vector engine
+#: takes the matrix loops at any depth, not just the default two levels.
+DEPTHS = pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
+
+
 class TestLoopParity:
-    def test_digamma_matrix_equals_genome_loop(self, ncf):
-        matrix = _search(ncf, DiGamma())
-        legacy = _search(ncf, DiGamma(use_matrix=False))
+    @DEPTHS
+    def test_digamma_matrix_equals_genome_loop(self, ncf, num_levels):
+        matrix = _search(ncf, DiGamma(), num_levels=num_levels)
+        legacy = _search(ncf, DiGamma(use_matrix=False), num_levels=num_levels)
         assert matrix.history == legacy.history
         assert matrix.best.fitness == legacy.best.fitness
         assert matrix.evaluations == legacy.evaluations
 
-    def test_stdga_matrix_equals_genome_loop(self, ncf):
-        matrix = _search(ncf, StandardGA())
-        legacy = _search(ncf, StandardGA(use_matrix=False))
+    @DEPTHS
+    def test_stdga_matrix_equals_genome_loop(self, ncf, num_levels):
+        matrix = _search(ncf, StandardGA(), num_levels=num_levels)
+        legacy = _search(ncf, StandardGA(use_matrix=False), num_levels=num_levels)
         assert matrix.history == legacy.history
         assert matrix.best.fitness == legacy.best.fitness
 
-    def test_nsga2_matrix_equals_genome_loop(self, ncf):
+    @DEPTHS
+    def test_nsga2_matrix_equals_genome_loop(self, ncf, num_levels):
         def front(use_matrix):
             framework = CoOptimizationFramework(
-                ncf, get_platform("edge"), objectives="latency,energy"
+                ncf,
+                get_platform("edge"),
+                objectives="latency,energy",
+                num_levels=num_levels,
             )
             return framework.pareto_search(
                 NSGA2(use_matrix=use_matrix), sampling_budget=480, seed=1
@@ -64,9 +76,12 @@ class TestLoopParity:
         assert matrix.front_values == legacy.front_values
         assert matrix.evaluations == legacy.evaluations
 
-    def test_nsga2_scalar_mode_matrix_equals_genome_loop(self, ncf):
-        matrix = _search(ncf, NSGA2(), budget=480, seed=2)
-        legacy = _search(ncf, NSGA2(use_matrix=False), budget=480, seed=2)
+    @DEPTHS
+    def test_nsga2_scalar_mode_matrix_equals_genome_loop(self, ncf, num_levels):
+        matrix = _search(ncf, NSGA2(), budget=480, seed=2, num_levels=num_levels)
+        legacy = _search(
+            ncf, NSGA2(use_matrix=False), budget=480, seed=2, num_levels=num_levels
+        )
         assert matrix.history == legacy.history
         assert matrix.best.fitness == legacy.best.fitness
 
@@ -162,11 +177,11 @@ class TestOperatorRowTwins:
     """Each row twin must consume the identical RNG stream and produce the
     identical genes as its per-genome operator."""
 
-    def _space(self):
+    def _space(self, num_levels):
         return GenomeSpace(
             dim_bounds={"K": 64, "C": 48, "Y": 16, "X": 16, "R": 3, "S": 3},
             max_pes=256,
-            num_levels=2,
+            num_levels=num_levels,
         )
 
     def _pair(self, space, seed):
@@ -175,20 +190,21 @@ class TestOperatorRowTwins:
         parent_b = space.random_genome(rng)
         return parent_a, parent_b, rng
 
+    @DEPTHS
     @pytest.mark.parametrize("seed", range(8))
-    def test_every_operator(self, seed):
-        space = self._space()
+    def test_every_operator(self, seed, num_levels):
+        space = self._space(num_levels)
         cases = [
             ("crossover", lambda g, b, r: operators.crossover(g, b, r),
-             lambda row, b, r: operators.crossover_rows(row, b, 2, r)),
+             lambda row, b, r: operators.crossover_rows(row, b, num_levels, r)),
             ("reorder", lambda g, b, r: operators.reorder(g, r),
-             lambda row, b, r: operators.reorder_row(row, 2, r)),
+             lambda row, b, r: operators.reorder_row(row, num_levels, r)),
             ("grow", lambda g, b, r: operators.grow(g, space, r),
-             lambda row, b, r: operators.grow_row(row, space, 2, r)),
+             lambda row, b, r: operators.grow_row(row, space, num_levels, r)),
             ("mutate_map", lambda g, b, r: operators.mutate_map(g, space, r),
-             lambda row, b, r: operators.mutate_map_row(row, space, 2, r)),
+             lambda row, b, r: operators.mutate_map_row(row, space, num_levels, r)),
             ("mutate_hw", lambda g, b, r: operators.mutate_hw(g, space, r),
-             lambda row, b, r: operators.mutate_hw_row(row, space, 2, r)),
+             lambda row, b, r: operators.mutate_hw_row(row, space, num_levels, r)),
         ]
         for name, genome_op, row_op in cases:
             parent_a, parent_b, _ = self._pair(space, seed)
@@ -202,12 +218,13 @@ class TestOperatorRowTwins:
             # Identical stream: the next draws must agree too.
             assert rng_genome.random() == rng_row.random(), name
 
-    def test_balance_parallel_row(self):
-        space = self._space()
+    @DEPTHS
+    def test_balance_parallel_row(self, num_levels):
+        space = self._space(num_levels)
         genome = space.random_genome(np.random.default_rng(9))
         row = genome_to_genes(genome)
         operators.balance_parallel(genome, space)
-        operators.balance_parallel_row(row, 2)
+        operators.balance_parallel_row(row, num_levels)
         assert row == genome_to_genes(genome)
 
 

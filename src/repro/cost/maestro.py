@@ -38,7 +38,7 @@ from repro.cost.engine import (
 from repro.cost.persist import (
     PersistentLayerCache,
     cache_namespace,
-    matrix_row_digest,
+    row_hasher,
     statics_blob,
     tuple_key_digest,
 )
@@ -907,11 +907,13 @@ class CostModel:
         tier = cache.tier if cache_on else None
         namespace = self._l2_namespace
         maxsize = cache.maxsize
-        # Per-layer statics content blobs for the persistent-tier digests:
-        # the digest replaces the process-local token column with them, so
-        # on-disk keys are stable across processes and runs.
-        blobs = (
-            [statics_blob(statics) for _, statics in pairs]
+        # Per-layer SHA-1 states over (namespace, statics content blob) for
+        # the persistent-tier digests: the blob replaces the process-local
+        # token column, so on-disk keys are stable across processes and
+        # runs, and each row copies its layer's state and hashes only its
+        # gene tail (the same digest as matrix_row_digest).
+        hashers = (
+            [row_hasher(namespace, statics_blob(statics)) for _, statics in pairs]
             if tier is not None
             else None
         )
@@ -954,9 +956,9 @@ class CostModel:
                         next_rows[fingerprint] = value
                     continue
                 if tier is not None:
-                    digest = matrix_row_digest(
-                        namespace, blobs[index % num_layers], fingerprint
-                    )
+                    hasher = hashers[index % num_layers].copy()
+                    hasher.update(fingerprint[8:])
+                    digest = hasher.digest()
                     value = tier.get(digest)
                     if value is not None:
                         # Served from the persistent tier: counted as an

@@ -32,23 +32,39 @@ digest, so a search warmed on one engine path serves every other.
 Durability
 ----------
 
-The data file is append-only JSONL with a header record, written with the
-:class:`~repro.experiments.runner.ResultStore` discipline: one ``write``
-syscall per flush on an ``O_APPEND`` descriptor (concurrent writers never
-interleave bytes), partial trailing lines healed by prefixing a newline,
-undecodable lines counted and reported via
-:class:`PersistentCacheCorruption` — a damaged record is *never served*;
-lookups re-verify the stored digest before returning a row.  The binary
-index sidecar is a rebuildable accelerator: any inconsistency (torn
-entry, stale header, wrong version) discards it and rescans the data
-file, which remains the single source of truth.  A data file whose header
-does not match :data:`FORMAT_NAME`/:data:`KEY_VERSION` is quarantined
-(renamed aside) and the cache starts fresh rather than risk serving rows
-keyed under different rules.
+The data file is an append-only log: one JSON header line, then one
+text line per row::
+
+    <base64 digest> <type codes> <base64 payload>\n
+
+The 20-byte digest encodes to 28 characters; the type codes hold one
+letter per value (``d`` float64, ``q`` int64); the payload is the values
+packed little-endian in that order (a ``struct.Struct`` per type
+signature).  A 13-value layer report makes a 184-byte line, and
+integers outside int64 are not stored (such a row stays in the L1 only).
+
+Writes follow the :class:`~repro.experiments.runner.ResultStore`
+discipline: one ``write`` syscall per flush on an ``O_APPEND`` descriptor
+(concurrent writers never interleave bytes, and each writer takes its
+records' offsets from where that write actually landed), partial
+trailing lines healed by prefixing a newline, undecodable lines counted
+and reported via :class:`PersistentCacheCorruption` — a damaged record
+is *never served*; lookups re-verify the stored digest before returning a
+row.  The binary index sidecar is a rebuildable accelerator covering a
+prefix of the data file: it claims only bytes whose rows its writer
+indexed, so rows other writers appended past that prefix are picked up
+by the next opener's tail scan, and any inconsistency (torn entry, stale
+header, wrong version) discards it and rescans the data file, which
+remains the single source of truth.  A data file whose header does not
+match :data:`FORMAT_NAME`/:data:`KEY_VERSION` — including every store
+written in the earlier JSON-record format — is quarantined (renamed
+aside) once and the cache starts fresh, re-pricing its rows, rather than
+risk serving rows keyed or encoded under different rules.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import os
@@ -59,7 +75,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 #: Bump when the digest composition or the record layout changes; stores
 #: written under another version are quarantined, never reinterpreted.
-KEY_VERSION = 1
+#: Version 2 replaced the JSON ``{"k", "v"}`` records with packed base64
+#: lines.
+KEY_VERSION = 2
 
 #: Header ``format`` field of the data file.
 FORMAT_NAME = "repro-layer-cache"
@@ -126,12 +144,22 @@ def statics_blob(statics) -> bytes:
     return blob
 
 
+def row_hasher(namespace: bytes, blob: bytes):
+    """SHA-1 state over (namespace, statics blob), ready for a gene tail.
+
+    Batch callers hash this prefix once per layer and ``copy()`` it per
+    row; feeding the copy a tail yields exactly :func:`row_digest`.
+    """
+    state = hashlib.sha1(namespace)
+    state.update(blob)
+    return state
+
+
 def row_digest(namespace: bytes, blob: bytes, tail: bytes) -> bytes:
     """SHA-1 of (namespace, statics blob, gene tail) — the L2 address."""
-    digest = hashlib.sha1(namespace)
-    digest.update(blob)
-    digest.update(tail)
-    return digest.digest()
+    state = row_hasher(namespace, blob)
+    state.update(tail)
+    return state.digest()
 
 
 def matrix_row_digest(namespace: bytes, blob: bytes, fingerprint: bytes) -> bytes:
@@ -171,13 +199,73 @@ def tuple_key_digest(
 
 
 def _plain(value: Union[int, float]) -> Union[int, float]:
-    """Coerce a report scalar to a JSON-exact built-in int or float."""
+    """Coerce a report scalar to a built-in int or float."""
     kind = type(value)
     if kind is int or kind is float:
         return value
     if isinstance(value, float):
         return float(value)
     return int(value)
+
+
+# -- record codec --------------------------------------------------------------
+
+#: Packed payload layout per type-code string (``b"ddq"`` -> ``"<ddq"``).
+_LAYOUTS: Dict[bytes, struct.Struct] = {}
+#: Type codes and layout per tuple of built-in value types, for ``put``.
+_SIGNATURES: Dict[tuple, Tuple[bytes, struct.Struct]] = {}
+
+
+def _layout(codes: bytes) -> struct.Struct:
+    """The little-endian ``struct`` layout of one type-code string."""
+    layout = _LAYOUTS.get(codes)
+    if layout is None:
+        if not codes or codes.translate(None, b"dq"):
+            raise ValueError(f"bad value type codes {codes!r}")
+        layout = _LAYOUTS[codes] = struct.Struct("<" + codes.decode())
+    return layout
+
+
+def _signature(kinds: tuple) -> Tuple[bytes, struct.Struct]:
+    """Type codes and layout for a tuple of built-in float/int types."""
+    signature = _SIGNATURES.get(kinds)
+    if signature is None:
+        codes = "".join("d" if kind is float else "q" for kind in kinds).encode()
+        signature = _SIGNATURES[kinds] = (codes, _layout(codes))
+    return signature
+
+
+def _unbase64(token: bytes) -> bytes:
+    """Strict base64 decode: only the canonical encoding of a value passes."""
+    raw = binascii.a2b_base64(token)
+    if binascii.b2a_base64(raw, newline=False) != token:
+        raise ValueError("non-canonical base64")
+    return raw
+
+
+def _encode_record(digest: bytes, codes: bytes, payload: bytes) -> bytes:
+    """One data line: base64 digest, type codes, base64 packed values."""
+    return b"%s %s %s\n" % (
+        binascii.b2a_base64(digest, newline=False),
+        codes,
+        binascii.b2a_base64(payload, newline=False),
+    )
+
+
+def _decode_record(line: bytes) -> Tuple[bytes, tuple]:
+    """Parse one data line into (digest, values); ``ValueError`` if damaged.
+
+    Bad base64, an unknown type code, or a payload whose length is not 8
+    bytes per code all raise, so a damaged line is never served.
+    """
+    key, codes, payload = line.split()
+    digest = _unbase64(key)
+    if len(digest) != 20:
+        raise ValueError("digest is not 20 bytes")
+    try:
+        return digest, _layout(codes).unpack(_unbase64(payload))
+    except struct.error as error:
+        raise ValueError(str(error)) from None
 
 
 class PersistentLayerCache:
@@ -214,8 +302,13 @@ class PersistentLayerCache:
         #: Entries found on disk at open — the cross-run carryover.
         self.loaded_entries = 0
         self._offsets: Optional[Dict[bytes, Tuple[int, int]]] = None
-        self._buffer: Dict[bytes, tuple] = {}
+        #: digest -> (values, type codes, packed payload) awaiting flush.
+        self._buffer: Dict[bytes, Tuple[tuple, bytes, bytes]] = {}
         self._descriptor: Optional[int] = None
+        #: Data bytes whose every record is in ``_offsets`` (what the index
+        #: may claim), and the file end as this instance last saw it.
+        self._covered = 0
+        self._known_end = 0
 
     # -- paths -------------------------------------------------------------
 
@@ -239,10 +332,10 @@ class PersistentLayerCache:
         """
         if self._offsets is None:
             self._open()
-        value = self._buffer.get(digest)
-        if value is not None:
+        pending = self._buffer.get(digest)
+        if pending is not None:
             self.l2_hits += 1
-            return value
+            return pending[0]
         location = self._offsets.get(digest)
         if location is None:
             self.l2_misses += 1
@@ -264,12 +357,27 @@ class PersistentLayerCache:
         return values
 
     def put(self, digest: bytes, values: Sequence[Union[int, float]]) -> None:
-        """Buffer one freshly priced row for the next :meth:`flush`."""
+        """Buffer one freshly priced row for the next :meth:`flush`.
+
+        A tuple of built-in floats and ints is kept as given; anything else
+        (NumPy scalars, bools, lists) is coerced to one first.  A row with
+        an integer outside int64 cannot be packed: it is skipped without
+        raising (not buffered, not counted), so it stays in the L1 only.
+        """
         if self._offsets is None:
             self._open()
         if digest in self._buffer or digest in self._offsets:
             return
-        self._buffer[digest] = tuple(_plain(value) for value in values)
+        signature = _SIGNATURES.get(tuple(map(type, values)))
+        if signature is None or type(values) is not tuple:
+            values = tuple(_plain(value) for value in values)
+            signature = _signature(tuple(map(type, values)))
+        codes, layout = signature
+        try:
+            payload = layout.pack(*values)
+        except struct.error:
+            return
+        self._buffer[digest] = (values, codes, payload)
         self.l2_writes += 1
 
     def flush(self) -> None:
@@ -283,24 +391,32 @@ class PersistentLayerCache:
             # A previous writer died mid-line: close its partial line so
             # one crash can never corrupt two records.
             prefix = b"\n"
-        pieces = []
-        locations = []
-        cursor = size + len(prefix)
-        for digest, values in self._buffer.items():
-            line = (
-                json.dumps({"k": digest.hex(), "v": list(values)}) + "\n"
-            ).encode()
-            pieces.append(line)
-            locations.append((digest, cursor, len(line)))
-            cursor += len(line)
-        data = prefix + b"".join(pieces)
-        view = memoryview(data)
+        lines = [
+            _encode_record(digest, codes, payload)
+            for digest, (_, codes, payload) in self._buffer.items()
+        ]
+        data = prefix + b"".join(lines)
+        written = os.write(descriptor, data)
+        # O_APPEND placed the write at the end of the file as it stood
+        # then, past anything another writer appended since the fstat
+        # above; the descriptor's offset now sits right after the bytes
+        # written, which pins where these records really start.
+        start = os.lseek(descriptor, 0, os.SEEK_CUR) - written
+        view = memoryview(data)[written:]
         while view:  # short writes (ENOSPC, signals) must not truncate
             view = view[os.write(descriptor, view) :]
         if self.durability == "fsync":
             os.fsync(descriptor)
-        for digest, offset, length in locations:
-            self._offsets[digest] = (offset, length)
+        offsets = self._offsets
+        cursor = start + len(prefix)
+        for digest, line in zip(self._buffer, lines):
+            offsets[digest] = (cursor, len(line))
+            cursor += len(line)
+        if start == self._known_end and written == len(data):
+            # Nothing foreign landed since this instance last saw the end
+            # of the file (a partial line it scanned is now closed by the
+            # prefix), so the index may claim these bytes too.
+            self._covered = self._known_end = start + len(data)
         self._buffer.clear()
 
     def close(self) -> None:
@@ -351,7 +467,8 @@ class PersistentLayerCache:
 
     def verify(self) -> Dict[str, Union[int, bool, str]]:
         """Read-only integrity report of the data file."""
-        offsets, corrupt = self._scan_data(0, {})
+        offsets: Dict[bytes, Tuple[int, int]] = {}
+        corrupt, _, _ = self._scan_data(0, offsets)
         return {
             "path": str(self.data_path),
             "entries": len(offsets),
@@ -365,25 +482,8 @@ class PersistentLayerCache:
         """Load (or initialize) the store: header check, index, tail scan."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.data_path
-        offsets: Dict[bytes, Tuple[int, int]] = {}
-        if path.exists() and path.stat().st_size > 0:
-            if not self._header_ok():
-                self._quarantine()
-            else:
-                covered = 0
-                from_index = self._load_index(offsets)
-                if from_index is not None:
-                    covered = from_index
-                offsets, corrupt = self._scan_data(covered, offsets)
-                if corrupt:
-                    warnings.warn(
-                        f"{path}: skipped {corrupt} undecodable cache "
-                        "line(s); damaged rows are re-priced by the "
-                        "engine, never served",
-                        PersistentCacheCorruption,
-                        stacklevel=3,
-                    )
-                    self.corrupt_lines += corrupt
+        if path.exists() and path.stat().st_size > 0 and not self._header_ok():
+            self._quarantine()
         if not path.exists() or path.stat().st_size == 0:
             header = (
                 json.dumps(
@@ -405,7 +505,21 @@ class PersistentLayerCache:
                         view = view[os.write(descriptor, view) :]
             finally:
                 os.close(descriptor)
+        offsets: Dict[bytes, Tuple[int, int]] = {}
+        corrupt, covered, end = self._scan_data(
+            self._load_index(offsets) or 0, offsets
+        )
+        if corrupt:
+            warnings.warn(
+                f"{path}: skipped {corrupt} undecodable cache "
+                "line(s); damaged rows are re-priced by the "
+                "engine, never served",
+                PersistentCacheCorruption,
+                stacklevel=3,
+            )
+            self.corrupt_lines += corrupt
         self._offsets = offsets
+        self._covered, self._known_end = covered, end
         self.loaded_entries = len(offsets)
 
     def _header_ok(self) -> bool:
@@ -483,22 +597,29 @@ class PersistentLayerCache:
         return covered
 
     def _write_index(self) -> None:
-        """Atomically persist the offset table (temp + fsync + replace)."""
-        covered = 0
-        if self._descriptor is not None:
-            covered = os.fstat(self._descriptor).st_size
-        elif self.data_path.exists():
-            covered = self.data_path.stat().st_size
-        entries = self._offsets or {}
+        """Atomically persist the offset table (temp + fsync + replace).
+
+        The index claims only the data prefix this instance has fully
+        indexed, so rows another writer appended beyond it are found by
+        the next opener's tail scan instead of hidden behind the claim.
+        """
+        covered = self._covered
         pieces = [
-            _INDEX_HEADER.pack(
-                _INDEX_MAGIC, _INDEX_VERSION, KEY_VERSION, covered, len(entries)
-            )
+            _INDEX_RECORD.pack(digest, offset, length)
+            for digest, (offset, length) in self._offsets.items()
+            if offset + length <= covered
         ]
-        for digest, (offset, length) in entries.items():
-            pieces.append(_INDEX_RECORD.pack(digest, offset, length))
+        pieces.insert(
+            0,
+            _INDEX_HEADER.pack(
+                _INDEX_MAGIC, _INDEX_VERSION, KEY_VERSION, covered, len(pieces)
+            ),
+        )
         data = b"".join(pieces)
-        replacement = self.index_path.with_name(self.index_path.name + ".tmp")
+        # Per-process temp name: writers closing at once never share it.
+        replacement = self.index_path.with_name(
+            f"{self.index_path.name}.{os.getpid()}.tmp"
+        )
         descriptor = os.open(
             replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
         )
@@ -513,42 +634,41 @@ class PersistentLayerCache:
 
     def _scan_data(
         self, start: int, offsets: Dict[bytes, Tuple[int, int]]
-    ) -> Tuple[Dict[bytes, Tuple[int, int]], int]:
-        """Index data records from byte ``start`` on; returns corrupt count.
+    ) -> Tuple[int, int, int]:
+        """Index data records from byte ``start`` on into ``offsets``.
 
-        A trailing line without a newline is a partial record from a
-        killed writer: it is counted corrupt here (it cannot be served)
-        and healed by the newline-prefix check on the next append.
+        Returns the corrupt line count, the end of the last complete line
+        and the end of the data read.  A trailing line without a newline
+        is a partial record from a killed (or still running) writer: it is
+        counted corrupt here (it cannot be served), left out of the
+        complete prefix, and healed by the newline-prefix check on the
+        next append.
         """
         corrupt = 0
+        covered = end = start
         try:
             with self.data_path.open("rb") as handle:
                 handle.seek(start)
-                cursor = start
                 for line in handle:
-                    length = len(line)
-                    offset = cursor
-                    cursor += length
-                    stripped = line.strip()
-                    if not stripped or not line.endswith(b"\n"):
-                        corrupt += 1 if stripped else 0
+                    offset = end
+                    end += len(line)
+                    if not line.endswith(b"\n"):
+                        corrupt += 1 if line.strip() else 0
+                        break
+                    covered = end
+                    if not line.strip():
                         continue
                     try:
-                        record = json.loads(stripped)
-                        key = record["k"]
-                        values = record["v"]
-                        digest = bytes.fromhex(key)
-                        if len(digest) != 20 or not isinstance(values, list):
-                            raise ValueError("malformed record")
-                    except (ValueError, KeyError, TypeError):
-                        if offset == 0 or b'"format"' in stripped:
+                        digest, _ = _decode_record(line)
+                    except ValueError:
+                        if offset == 0 or b'"format"' in line:
                             continue  # the header line is not a record
                         corrupt += 1
                         continue
-                    offsets[digest] = (offset, length)
+                    offsets[digest] = (offset, len(line))
         except OSError:
             pass
-        return offsets, corrupt
+        return corrupt, covered, end
 
     def _read_record(
         self, digest: bytes, offset: int, length: int
@@ -556,16 +676,10 @@ class PersistentLayerCache:
         """Fetch and re-verify one record; None when it cannot be trusted."""
         descriptor = self._ensure_descriptor()
         try:
-            raw = os.pread(descriptor, length, offset)
-            record = json.loads(raw.decode())
-            if record["k"] != digest.hex():
-                return None
-            values = record["v"]
-            if not isinstance(values, list):
-                return None
-            return tuple(values)
-        except (OSError, ValueError, KeyError, TypeError, UnicodeDecodeError):
+            stored, values = _decode_record(os.pread(descriptor, length, offset))
+        except (OSError, ValueError):
             return None
+        return values if stored == digest else None
 
     def _ensure_descriptor(self) -> int:
         if self._descriptor is None:

@@ -2,13 +2,17 @@
 
 Covers the on-disk store's crash-safety contract (truncation healing,
 torn-index rebuild, version quarantine, tampered records served as
-misses), the digest scheme's anti-aliasing, and the end-to-end tiering:
-a warm rerun must answer its layer pricings from disk with bit-identical
+misses), the packed record format, concurrent writers sharing one store,
+the digest scheme's anti-aliasing, and the end-to-end tiering: a warm
+rerun must answer its layer pricings from disk with bit-identical
 results.
 """
 
+import base64
 import hashlib
+import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -154,11 +158,15 @@ class TestCorruptionHandling:
         cache.index_path.unlink()
         assert PersistentLayerCache(tmp_path).get(_digest("row1")) is not None
 
-    def test_version_mismatch_quarantines(self, tmp_path):
+    # Key version 1 is the JSON-record format written before the packed
+    # lines: such stores are re-priced, never misread.
+    @pytest.mark.parametrize("key_version", [1, 999])
+    def test_version_mismatch_quarantines(self, tmp_path, key_version):
         store = tmp_path / "layers.jsonl"
         store.write_text(
-            '{"format": "%s", "version": 1, "key_version": 999}\n'
-            '{"k": "%s", "v": [1]}\n' % (FORMAT_NAME, _digest("old").hex())
+            '{"format": "%s", "version": 1, "key_version": %d}\n'
+            '{"k": "%s", "v": [1]}\n'
+            % (FORMAT_NAME, key_version, _digest("old").hex())
         )
         with pytest.warns(PersistentCacheCorruption, match="quarantined"):
             cache = PersistentLayerCache(tmp_path)
@@ -183,8 +191,8 @@ class TestCorruptionHandling:
         # Re-key the record in place (same length) after the index was
         # written: the pread re-verification must refuse to serve it.
         data = cache.data_path.read_bytes()
-        honest = _digest("row0").hex().encode()
-        forged = _digest("evil").hex().encode()
+        honest = base64.b64encode(_digest("row0"))
+        forged = base64.b64encode(_digest("evil"))
         cache.data_path.write_bytes(data.replace(honest, forged))
 
         reopened = PersistentLayerCache(tmp_path)
@@ -215,6 +223,146 @@ class TestCorruptionHandling:
             handle.write(b"nonsense\n")
         report = cache.verify()
         assert report["ok"] is False and report["corrupt_lines"] == 1
+
+
+class TestRecordFormat:
+    GOLDEN = b"7DCtx55zSQBDDkF0zwo2wtDEInI= dqd AAAAAAAA+D/+/////////5qZmZmZmbk/\n"
+
+    def test_golden_line_pins_the_layout(self, tmp_path):
+        # base64 digest, one type code per value, base64 of the values
+        # packed little-endian (float64 1.5, int64 -2, float64 0.1).
+        cache = PersistentLayerCache(tmp_path)
+        cache.put(_digest("golden"), (1.5, -2, 0.1))
+        cache.close()
+        header, line = cache.data_path.read_bytes().splitlines(keepends=True)
+        assert line == self.GOLDEN
+        assert b'"key_version": 2' in header
+        assert PersistentLayerCache(tmp_path).get(_digest("golden")) == (1.5, -2, 0.1)
+
+    def test_numpy_scalars_come_back_as_builtins(self, tmp_path):
+        cache = PersistentLayerCache(tmp_path)
+        cache.put(_digest("np"), (np.float64(2.5), np.int64(7), True))
+        assert cache.get(_digest("np")) == (2.5, 7, 1)  # buffered, coerced
+        cache.close()
+        served = PersistentLayerCache(tmp_path).get(_digest("np"))
+        assert served == (2.5, 7, 1)
+        assert [type(value) for value in served] == [float, int, int]
+
+    def test_int_outside_int64_stays_out_of_the_store(self, tmp_path):
+        cache = PersistentLayerCache(tmp_path)
+        cache.put(_digest("huge"), (1.0, 2**63))  # must not raise
+        cache.put(_digest("small"), (1.0, -(2**63)))
+        assert cache.get(_digest("huge")) is None
+        assert cache.counters()["l2_writes"] == 1
+        cache.close()
+        reopened = PersistentLayerCache(tmp_path)
+        assert reopened.get(_digest("huge")) is None
+        assert reopened.get(_digest("small")) == (1.0, -(2**63))
+        assert reopened.entries == 1
+
+    #: One damaged field per case: (field index, damage applied to it).
+    DAMAGE = {
+        "bad-base64-digest": (0, lambda key: key[:-2] + b"!="),
+        "bad-base64-payload": (2, lambda payload: b"*" + payload[1:]),
+        "unknown-type-code": (1, lambda codes: codes[:-1] + b"f"),
+        "payload-shorter-than-codes": (1, lambda codes: codes + b"d"),
+        "payload-longer-than-codes": (1, lambda codes: codes[:-1]),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_line_counts_as_corrupt_and_is_not_served(
+        self, tmp_path, damage
+    ):
+        cache = PersistentLayerCache(tmp_path)
+        cache.put(_digest("keep"), (1.0, 2))
+        cache.put(_digest("hurt"), (3.0, 4))
+        cache.close()
+        cache.index_path.unlink()  # force a full rescan
+        header, kept, hurt = cache.data_path.read_bytes().splitlines(keepends=True)
+        field, corrupt = self.DAMAGE[damage]
+        fields = hurt.split()
+        fields[field] = corrupt(fields[field])
+        cache.data_path.write_bytes(header + kept + b" ".join(fields) + b"\n")
+        assert cache.verify()["corrupt_lines"] == 1
+        with pytest.warns(PersistentCacheCorruption, match="1 undecodable"):
+            reopened = PersistentLayerCache(tmp_path)
+            assert reopened.get(_digest("hurt")) is None
+        assert reopened.get(_digest("keep")) == (1.0, 2)
+        assert reopened.corrupt_lines == 1
+
+
+class TestConcurrentWriters:
+    def test_append_between_fstat_and_write_keeps_offsets(
+        self, tmp_path, monkeypatch
+    ):
+        first = PersistentLayerCache(tmp_path)
+        second = PersistentLayerCache(tmp_path)
+        first.put(_digest("mine"), (1.0, 2))
+        second.put(_digest("theirs"), (3.0, 4))
+        real_write = os.write
+        pending = [second]
+
+        def racing_write(descriptor, data):
+            # The other writer appends after the first one's fstat, right
+            # before its own write lands.
+            if pending:
+                pending.pop().flush()
+            return real_write(descriptor, data)
+
+        monkeypatch.setattr(os, "write", racing_write)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PersistentCacheCorruption)
+            first.flush()
+            assert first.get(_digest("mine")) == (1.0, 2)
+        monkeypatch.undo()
+        first.close()
+        second.close()
+        fresh = PersistentLayerCache(tmp_path)
+        assert fresh.get(_digest("mine")) == (1.0, 2)
+        assert fresh.get(_digest("theirs")) == (3.0, 4)
+
+    def test_earlier_writer_closing_last_hides_no_rows(self, tmp_path):
+        early = PersistentLayerCache(tmp_path)
+        late = PersistentLayerCache(tmp_path)
+        _fill(early, 3, tag="early")
+        _fill(late, 3, tag="late")
+        late.close()
+        early.close()  # its index must not claim the late writer's rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PersistentCacheCorruption)
+            fresh = PersistentLayerCache(tmp_path)
+            for i in range(3):
+                assert fresh.get(_digest(f"early{i}")) == (i, float(i) * 1.5, i * 3)
+                assert fresh.get(_digest(f"late{i}")) == (i, float(i) * 1.5, i * 3)
+        assert fresh.loaded_entries == 6
+
+    def test_writers_closing_at_once_keep_separate_index_temps(
+        self, tmp_path, monkeypatch
+    ):
+        first = PersistentLayerCache(tmp_path)
+        second = PersistentLayerCache(tmp_path)
+        _fill(first, 2, tag="first")
+        _fill(second, 2, tag="second")
+        real_replace = os.replace
+        real_pid = os.getpid()
+        pending = [second]
+
+        def racing_replace(source, target):
+            # Another process closes between this one's index temp write
+            # and its rename.
+            if pending:
+                monkeypatch.setattr(os, "getpid", lambda: real_pid + 1)
+                pending.pop().close()
+                monkeypatch.setattr(os, "getpid", lambda: real_pid)
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        first.close()
+        monkeypatch.undo()
+        fresh = PersistentLayerCache(tmp_path)
+        for tag in ("first", "second"):
+            assert fresh.get(_digest(f"{tag}1")) == (1, 1.5, 3)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestDigestScheme:

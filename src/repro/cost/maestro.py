@@ -38,6 +38,7 @@ from repro.cost.engine import (
 from repro.cost.persist import (
     PersistentLayerCache,
     cache_namespace,
+    matrix_tail_digest,
     row_hasher,
     statics_blob,
     tuple_key_digest,
@@ -911,7 +912,7 @@ class CostModel:
         # the persistent-tier digests: the blob replaces the process-local
         # token column, so on-disk keys are stable across processes and
         # runs, and each row copies its layer's state and hashes only its
-        # gene tail (the same digest as matrix_row_digest).
+        # gene tail.
         hashers = (
             [row_hasher(namespace, statics_blob(statics)) for _, statics in pairs]
             if tier is not None
@@ -956,9 +957,9 @@ class CostModel:
                         next_rows[fingerprint] = value
                     continue
                 if tier is not None:
-                    hasher = hashers[index % num_layers].copy()
-                    hasher.update(fingerprint[8:])
-                    digest = hasher.digest()
+                    digest = matrix_tail_digest(
+                        hashers[index % num_layers], fingerprint
+                    )
                     value = tier.get(digest)
                     if value is not None:
                         # Served from the persistent tier: counted as an

@@ -147,8 +147,9 @@ def statics_blob(statics) -> bytes:
 def row_hasher(namespace: bytes, blob: bytes):
     """SHA-1 state over (namespace, statics blob), ready for a gene tail.
 
-    Batch callers hash this prefix once per layer and ``copy()`` it per
-    row; feeding the copy a tail yields exactly :func:`row_digest`.
+    Batch callers hash this prefix once per layer and pass it to
+    :func:`matrix_tail_digest` per row, which yields exactly
+    :func:`matrix_row_digest`.
     """
     state = hashlib.sha1(namespace)
     state.update(blob)
@@ -162,9 +163,20 @@ def row_digest(namespace: bytes, blob: bytes, tail: bytes) -> bytes:
     return state.digest()
 
 
+def matrix_tail_digest(prefix_state, fingerprint: bytes) -> bytes:
+    """Digest of one packed work row from its layer's :func:`row_hasher`.
+
+    The row's 8-byte token column is process-local, so it is stripped and
+    only the gene tail is hashed; ``prefix_state`` is copied, not consumed.
+    """
+    state = prefix_state.copy()
+    state.update(fingerprint[8:])
+    return state.digest()
+
+
 def matrix_row_digest(namespace: bytes, blob: bytes, fingerprint: bytes) -> bytes:
     """Digest of one packed work row (token column stripped, tail kept)."""
-    return row_digest(namespace, blob, fingerprint[8:])
+    return matrix_tail_digest(row_hasher(namespace, blob), fingerprint)
 
 
 def tuple_key_digest(

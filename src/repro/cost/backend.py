@@ -78,9 +78,7 @@ class CostBackend(Protocol):
 
     @property
     def vector_stats(self) -> dict:
-        """Vector-path and delta-reuse counters (zeros when inapplicable)."""
-
-    delta_counters: dict
+        """Vector-path and persistent-tier counters (zeros when inapplicable)."""
 
 
 def create_backend(

@@ -87,9 +87,6 @@ class ExperimentSettings:
     #: ``engine``, the backend changes what a search computes, so it joins
     #: job identities (see :class:`~repro.experiments.jobs.JobSpec`).
     backend: str = "analytic"
-    #: Cross-generation delta evaluation on the gene-matrix path; results
-    #: are bit-identical either way, so the flag is not part of job ids.
-    use_delta: bool = True
     #: Optional persistent cross-run layer-cache directory
     #: (:class:`~repro.cost.persist.PersistentLayerCache`).  Purely an
     #: accelerator: cached rows are bit-identical to engine pricing, so the
@@ -159,7 +156,6 @@ class ExperimentSettings:
         return {
             "use_cache": self.use_cache,
             "workers": self.workers,
-            "use_delta": self.use_delta,
             "cache_dir": self.cache_dir,
         }
 

@@ -66,12 +66,11 @@ class CoOptimizationFramework:
     buffer_allocation:
         Buffer allocation strategy forwarded to the evaluator
         (``"exact"`` or ``"fill"``).
-    use_cache / workers / engine / use_delta:
+    use_cache / workers / engine:
         Evaluation-engine knobs forwarded to the evaluator: memoization
-        on/off, process-pool width for batched population evaluation, the
-        vector/fast/reference engine selector (``"vector"`` by default) and
-        cross-generation delta evaluation on/off.  Every combination
-        produces bit-identical results.
+        on/off, process-pool width for batched population evaluation and
+        the vector/fast/reference engine selector (``"vector"`` by
+        default).  Every combination produces bit-identical results.
     backend:
         Cost-backend selector forwarded to the evaluator (``"analytic"``
         by default; ``"zigzag"`` swaps in the independently coded
@@ -105,7 +104,6 @@ class CoOptimizationFramework:
         workers: Optional[int] = None,
         engine: str = "vector",
         objectives: Union[ObjectiveSet, Iterable[str], str, None] = None,
-        use_delta: bool = True,
         backend: str = "analytic",
         cache_dir: Optional[str] = None,
     ):
@@ -133,7 +131,6 @@ class CoOptimizationFramework:
             workers=workers,
             engine=engine,
             objectives=objectives,
-            use_delta=use_delta,
             backend=backend,
             cache_dir=cache_dir,
         )

@@ -227,14 +227,6 @@ class DesignEvaluator:
         given, every :class:`EvaluationResult` additionally carries the
         per-objective value vector, computed from the same cost-model pass
         as the scalar objective (the scalar path is unchanged either way).
-    use_delta:
-        Cross-generation delta evaluation on the gene-matrix path
-        (:meth:`evaluate_matrix`): members and (member, layer) rows whose
-        fingerprints are unchanged since the previous generation reuse
-        their priced results without touching the engine.  Results are
-        bit-identical either way (reused values are pure functions of the
-        fingerprint); the flag exists for benchmarking and the parity
-        tests.  Reuse counters surface in ``cost_model.vector_stats``.
     backend:
         Cost-backend selector (:mod:`repro.cost.backend`).  ``"analytic"``
         (default) is the MAESTRO-style order-aware engine this repo
@@ -275,7 +267,6 @@ class DesignEvaluator:
         workers: Optional[int] = None,
         engine: str = "vector",
         objectives: Optional[ObjectiveSet] = None,
-        use_delta: bool = True,
         backend: str = "analytic",
         cache_dir: Optional[str] = None,
     ):
@@ -327,9 +318,6 @@ class DesignEvaluator:
         self._design_cache = LRUCache(
             DEFAULT_DESIGN_CACHE_SIZE if use_cache and engine != "reference" else 0
         )
-        self.use_delta = use_delta
-        #: Previous generation's member fingerprint table (gene-matrix path).
-        self._delta_members: Optional[dict] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
         #: Optional :class:`~repro.experiments.faults.FaultPlan`; ships to
@@ -513,16 +501,6 @@ class DesignEvaluator:
         reuse works on raw row fingerprints, misses feed the cost model's
         packed matrix entry directly, and genomes on the returned results
         materialize lazily.
-
-        With ``use_delta`` (the default) members whose fingerprints are
-        unchanged since the previous ``evaluate_matrix`` call reuse their
-        priced results without probing the design cache or touching the
-        engine — elitist survivors and converged populations cost ~zero.
-        A delta hit still counts as a design-cache hit (sequential
-        evaluation would have hit the memo), so cache hit rates mean the
-        same thing with delta evaluation on or off; the ``delta_*``
-        counters in ``cost_model.vector_stats`` report the subset of hits
-        the fingerprint tables absorbed.
         """
         count = len(matrix)
         if count == 0:
@@ -575,28 +553,11 @@ class DesignEvaluator:
         step = data.shape[1] * 8
         fingerprints = [raw[i * step : i * step + step] for i in range(count)]
         cache = self._design_cache
-        use_delta = self.use_delta
-        previous = self._delta_members if use_delta else None
-        table: Optional[dict] = {} if use_delta else None
-        members_reused = 0
         results: List[Optional[EvaluationResult]] = [None] * count
         slots: List[Optional[int]] = [None] * count
         pending: dict = {}
         miss_rows: List[int] = []
         for position, fingerprint in enumerate(fingerprints):
-            if previous is not None:
-                known = previous.get(fingerprint)
-                if known is not None:
-                    members_reused += 1
-                    # The member was priced one generation ago, so plain
-                    # sequential evaluation would have hit the design cache
-                    # here — count it as such; the delta counters report
-                    # the subset of hits the table absorbed.
-                    if cache.maxsize > 0:
-                        cache.hits += 1
-                    results[position] = known
-                    table[fingerprint] = known
-                    continue
             slot = pending.get(fingerprint)
             if slot is not None:
                 if cache.maxsize > 0:
@@ -606,8 +567,6 @@ class DesignEvaluator:
             known = cache.get(fingerprint)
             if known is not None:
                 results[position] = known
-                if table is not None:
-                    table[fingerprint] = known
                 continue
             pending[fingerprint] = len(miss_rows)
             slots[position] = len(miss_rows)
@@ -621,7 +580,6 @@ class DesignEvaluator:
                 miss_matrix,
                 noc_bandwidth=self.platform.noc_bandwidth,
                 dram_bandwidth=self.platform.dram_bandwidth,
-                use_delta=use_delta,
             )
             if self.fixed_hardware is None and self.buffer_allocation == "exact":
                 miss_results = self._score_matrix_misses(
@@ -641,19 +599,9 @@ class DesignEvaluator:
                     )
             for result, position in zip(miss_results, miss_rows):
                 cache.put(fingerprints[position], result)
-                if table is not None:
-                    table[fingerprints[position]] = result
             for position, slot in enumerate(slots):
                 if slot is not None and results[position] is None:
                     results[position] = miss_results[slot]
-        if use_delta:
-            self._delta_members = table
-            # delta_generations is owned by the cost model (one increment
-            # per delta-filtered evaluate_model_matrix call), so direct
-            # CostModel API users get a coherent stats dict too.
-            counters = self.cost_model.delta_counters
-            counters["delta_members_reused"] += members_reused
-            counters["delta_member_requests"] += count
         return [
             _with_row_genome(results[position], fingerprints[position])
             for position in range(count)
@@ -777,9 +725,8 @@ class DesignEvaluator:
         return self.cost_model.layer_cache.tier
 
     def cache_clear(self) -> None:
-        """Drop all memoized evaluations, delta tables and counters."""
+        """Drop all memoized evaluations and counters."""
         self._design_cache.clear()
-        self._delta_members = None
         self.cost_model.cache_clear()
 
     def _map_chunks(
@@ -885,12 +832,11 @@ class DesignEvaluator:
         return self._pool
 
     def __getstate__(self) -> dict:
-        # Worker pools never cross process boundaries; caches and delta
-        # tables restart empty in the worker (see LRUCache.__getstate__).
+        # Worker pools never cross process boundaries; caches restart
+        # empty in the worker (see LRUCache.__getstate__).
         state = dict(self.__dict__)
         state["_pool"] = None
         state["_pool_workers"] = 0
-        state["_delta_members"] = None
         return state
 
     def evaluate_mapping(

@@ -125,8 +125,6 @@ class TestZigZagPlumbing:
             "fallback_intermediate_overflow",
             "fallback_small_batch",
             "fallback_gene_overflow",
-            "delta_generations",
-            "delta_member_requests",
         ):
             assert stats[key] == 0
 

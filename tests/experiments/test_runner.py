@@ -603,6 +603,43 @@ class TestCacheReuseAcrossJobs:
         ).run()
         assert resumed[0][1].evaluations == 40
 
+    def test_records_from_older_stores_still_load(self, tmp_path, capsys):
+        # Older stores carry a "delta" section in each "cache" record; new
+        # records have none, and readers ignore keys they do not know.
+        spec = JobSpec(
+            model="ncf", platform="edge", optimizer="digamma", sampling_budget=40
+        )
+        store = ResultStore(tmp_path / "old.jsonl")
+        SweepRunner([spec], settings=TINY, store=store).run()
+        record = store.records()[0]
+        assert "delta" not in record["cache"]
+        record["cache"]["delta"] = {
+            "generations": 2,
+            "member_requests": 40,
+            "member_reuse_rate": 0.125,
+            "members_reused": 5,
+            "row_requests": 140,
+            "row_reuse_rate": 0.0286,
+            "rows_reused": 4,
+        }
+        store.path.write_text(json.dumps(record) + "\n")
+
+        assert store.records() == [record]
+        assert store.skipped_lines == 0
+        assert repro_main(["experiments", "--verify-store", str(store.path)]) == 0
+        assert "0 corrupt line(s)" in capsys.readouterr().out
+        assert repro_main(["experiments", "--status", str(store.path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 job(s)" in out and "1 ok" in out
+        lines = []
+        resumed = SweepRunner(
+            [spec], settings=TINY, store=store, resume=True,
+            progress=lines.append,
+        ).run()
+        assert f"[1/1] skip (stored): {spec.job_id}" in lines
+        assert resumed[0][1].evaluations == 40
+        assert store.records() == [record]
+
     def test_progress_lines_surface_cache_hit_rates(self):
         spec = JobSpec(
             model="ncf", platform="edge", optimizer="random", sampling_budget=30

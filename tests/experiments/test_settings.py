@@ -56,20 +56,15 @@ class TestConstants:
         settings = ExperimentSettings()
         assert settings.use_cache is True
         assert settings.workers is None
-        assert settings.use_delta is True
         assert settings.framework_options() == {
             "use_cache": True,
             "workers": None,
-            "use_delta": True,
             "cache_dir": None,
         }
-        tuned = ExperimentSettings(
-            use_cache=False, workers=2, use_delta=False, cache_dir="/tmp/l2"
-        )
+        tuned = ExperimentSettings(use_cache=False, workers=2, cache_dir="/tmp/l2")
         assert tuned.framework_options() == {
             "use_cache": False,
             "workers": 2,
-            "use_delta": False,
             "cache_dir": "/tmp/l2",
         }
 

@@ -1,13 +1,11 @@
-"""The gene-matrix evaluation path and cross-generation delta evaluation.
+"""The gene-matrix evaluation path.
 
 Contracts pinned here:
 
 * ``DesignEvaluator.evaluate_matrix`` is bit-identical to evaluating the
-  same (repaired) genomes one by one, under every engine selector and with
-  delta evaluation on or off;
-* members and (member, layer) rows unchanged since the previous generation
-  are detected and reused, with the counters surfacing in
-  ``CostModel.vector_stats``;
+  same (repaired) genomes one by one, under every engine selector;
+* row fingerprints carry the full layer-cache key, and
+  ``use_cache=False`` memoizes nothing across calls;
 * the tracker's matrix views share the genome views' budget semantics; and
 * results carry lazily materialized genomes/mappings that match the
   eagerly built ones.
@@ -136,62 +134,16 @@ class TestLazyResults:
             assert result.design.mapping.cache_key() == want.cache_key()
 
 
-class TestDeltaEvaluation:
-    def test_results_identical_with_delta_on_and_off(self, resnet18):
-        on = DesignEvaluator(model=resnet18, platform=EDGE)
-        off = DesignEvaluator(model=resnet18, platform=EDGE, use_delta=False)
-        space, genomes, matrix = _repaired_population(on, 20, seed=37)
-        generations = [matrix]
-        # Second generation: survivors + lightly mutated children.
-        children = []
-        for genome in genomes:
-            child = genome.copy()
-            child.levels[1].tiles["R"] = max(1, child.levels[1].tiles["R"] - 1)
-            children.append(child)
-        second = repaired_matrix(
-            GenomeMatrix.from_genomes(genomes[:7] + children[7:]), space
-        )
-        generations.append(second)
-        for generation in generations:
-            for a, b in zip(
-                on.evaluate_matrix(generation), off.evaluate_matrix(generation)
-            ):
-                _assert_results_identical(a, b)
-
-    def test_member_and_row_reuse_counters(self, resnet18):
-        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
-        space, genomes, matrix = _repaired_population(evaluator, 15, seed=41)
-        evaluator.evaluate_matrix(matrix)
-        first = dict(evaluator.cost_model.vector_stats)
-        assert first["delta_generations"] == 1
-        assert first["delta_member_requests"] == 15
-        assert first["delta_members_reused"] == 0
-
-        survivors = genomes[:5]
-        children = []
-        for genome in genomes[5:]:
-            child = genome.copy()
-            child.levels[1].tiles["S"] = max(1, child.levels[1].tiles["S"] - 1)
-            children.append(child)
-        second = repaired_matrix(
-            GenomeMatrix.from_genomes(survivors + children), space
-        )
-        evaluator.evaluate_matrix(second)
-        stats = evaluator.cost_model.vector_stats
-        assert stats["delta_generations"] == 2
-        assert stats["delta_members_reused"] >= 5  # elitist survivors
-        assert stats["delta_rows_reused"] > 0  # unchanged (member, layer) rows
-        assert stats["delta_row_requests"] > 0
-
-    def test_disabled_delta_keeps_counters_at_zero(self, ncf):
-        evaluator = DesignEvaluator(model=ncf, platform=EDGE, use_delta=False)
+class TestRowReuse:
+    def test_no_cache_reprices_every_row(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE, use_cache=False)
         _, _, matrix = _repaired_population(evaluator, 10, seed=43)
         evaluator.evaluate_matrix(matrix)
+        first = evaluator.cost_model.vector_stats["rows_vectorized"]
         evaluator.evaluate_matrix(matrix)
-        stats = evaluator.cost_model.vector_stats
-        assert stats["delta_generations"] == 0
-        assert stats["delta_member_requests"] == 0
-        assert stats["delta_members_reused"] == 0
+        second = evaluator.cost_model.vector_stats["rows_vectorized"]
+        assert first > 0
+        assert second == 2 * first
 
     def test_cross_model_cache_adoption_cannot_alias(self, ncf):
         # Fingerprint identity comes from the cache's own token table, so
@@ -225,29 +177,18 @@ class TestDeltaEvaluation:
     def test_fingerprints_include_the_bandwidths(self, ncf):
         # The row fingerprint must carry the full composite-key context:
         # the same rows priced under different bandwidths may never alias
-        # in the layer LRU or the delta table.
+        # in the layer LRU.
         from repro.cost.maestro import CostModel
 
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
         _, _, matrix = _repaired_population(evaluator, 10, seed=71)
         shared = CostModel()
-        shared.evaluate_model_matrix(ncf, matrix.data, 100.0, 50.0, use_delta=True)
-        reused = shared.evaluate_model_matrix(ncf, matrix.data, 1.0, 0.5, use_delta=True)
+        shared.evaluate_model_matrix(ncf, matrix.data, 100.0, 50.0)
+        reused = shared.evaluate_model_matrix(ncf, matrix.data, 1.0, 0.5)
         fresh = CostModel().evaluate_model_matrix(ncf, matrix.data, 1.0, 0.5)
         for a, b in zip(reused, fresh):
             assert a.latency == b.latency
             assert a.energy == b.energy
-
-    def test_cache_clear_drops_the_delta_tables(self, ncf):
-        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
-        _, _, matrix = _repaired_population(evaluator, 10, seed=47)
-        evaluator.evaluate_matrix(matrix)
-        evaluator.cache_clear()
-        stats = evaluator.cost_model.vector_stats
-        assert stats["delta_members_reused"] == 0
-        assert stats["delta_generations"] == 0
-        evaluator.evaluate_matrix(matrix)
-        assert evaluator.cost_model.vector_stats["delta_members_reused"] == 0
 
 
 class TestTrackerMatrixViews:

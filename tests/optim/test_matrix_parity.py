@@ -4,8 +4,8 @@ The hard invariant of this repository's perf work: rewriting a search
 inner loop must not change *anything* about the search — the RNG stream,
 the fitness sequence, the best design, the history.  Every matrix-native
 loop is pinned here against its per-genome twin at hierarchy depths 1-4,
-and the engine selectors and delta evaluation are pinned against each
-other through whole searches.
+and the engine selectors and memoization are pinned against each other
+through whole searches.
 """
 
 from __future__ import annotations
@@ -86,16 +86,15 @@ class TestLoopParity:
         assert matrix.best.fitness == legacy.best.fitness
 
 
-class TestEngineAndDeltaParity:
+class TestEngineParity:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"engine": "fast"},
             {"engine": "reference"},
-            {"use_delta": False},
             {"use_cache": False},
         ],
-        ids=["fast", "reference", "no-delta", "no-cache"],
+        ids=["fast", "reference", "no-cache"],
     )
     def test_whole_search_trajectories_are_pinned(self, ncf, kwargs):
         want = _search(ncf, DiGamma())
@@ -103,13 +102,17 @@ class TestEngineAndDeltaParity:
         assert got.history == want.history
         assert got.best.fitness == want.best.fitness
 
-    def test_delta_reuse_actually_fires_during_a_search(self, ncf):
+    def test_two_level_cache_counters_are_pinned(self, ncf):
+        # The design LRU and the layer LRU are the only reuse between
+        # generations: pin what they resolve on one small default search.
         framework = CoOptimizationFramework(ncf, get_platform("edge"))
         framework.search(DiGamma(), sampling_budget=600, seed=3)
-        stats = framework.evaluator.cost_model.vector_stats
-        assert stats["delta_generations"] > 1
-        assert stats["delta_members_reused"] > 0
-        assert stats["delta_rows_reused"] > 0
+        evaluator = framework.evaluator
+        design = evaluator.design_cache_stats
+        layer = evaluator.layer_cache_stats
+        assert (design.hits, design.misses) == (198, 402)
+        assert (layer.hits, layer.misses) == (109, 1499)
+        assert evaluator.cost_model.vector_stats["rows_vectorized"] == 1499
 
 
 class _ReferencePSO(ParticleSwarm):

@@ -4,8 +4,10 @@ Contracts pinned here:
 
 * ``DesignEvaluator.evaluate_matrix`` is bit-identical to evaluating the
   same (repaired) genomes one by one, under every engine selector;
-* row fingerprints carry the full layer-cache key, and
-  ``use_cache=False`` memoizes nothing across calls;
+* the design and layer LRUs reuse survivors and unchanged rows across
+  generations without changing a result, ``cache_clear`` empties both,
+  row fingerprints carry the full layer-cache key, and ``use_cache=False``
+  memoizes nothing across calls;
 * the tracker's matrix views share the genome views' budget semantics; and
 * results carry lazily materialized genomes/mappings that match the
   eagerly built ones.
@@ -144,6 +146,58 @@ class TestRowReuse:
         second = evaluator.cost_model.vector_stats["rows_vectorized"]
         assert first > 0
         assert second == 2 * first
+
+    @staticmethod
+    def _next_generation(genomes, space, survivors, dim):
+        # Elitist survivors + lightly mutated children, as DiGamma breeds.
+        children = []
+        for genome in genomes[survivors:]:
+            child = genome.copy()
+            child.levels[1].tiles[dim] = max(1, child.levels[1].tiles[dim] - 1)
+            children.append(child)
+        return repaired_matrix(
+            GenomeMatrix.from_genomes(genomes[:survivors] + children), space
+        )
+
+    def test_warm_lrus_match_an_unmemoized_evaluator(self, resnet18):
+        warm = DesignEvaluator(model=resnet18, platform=EDGE)
+        cold = DesignEvaluator(model=resnet18, platform=EDGE, use_cache=False)
+        space, genomes, matrix = _repaired_population(warm, 20, seed=37)
+        second = self._next_generation(genomes, space, 7, "R")
+        for generation in (matrix, second):
+            for a, b in zip(
+                warm.evaluate_matrix(generation), cold.evaluate_matrix(generation)
+            ):
+                _assert_results_identical(a, b)
+        assert warm.layer_cache_stats.hits > 0
+
+    def test_lrus_reuse_survivors_and_unchanged_rows(self, resnet18):
+        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
+        space, genomes, matrix = _repaired_population(evaluator, 15, seed=41)
+        evaluator.evaluate_matrix(matrix)
+        design = evaluator.design_cache_stats
+        layer = evaluator.layer_cache_stats
+        assert (design.hits, design.misses) == (0, 15)
+        priced = evaluator.cost_model.vector_stats["rows_vectorized"]
+
+        evaluator.evaluate_matrix(self._next_generation(genomes, space, 5, "S"))
+        design = evaluator.design_cache_stats
+        assert design.hits >= 5  # elitist survivors
+        assert evaluator.layer_cache_stats.hits > layer.hits  # unchanged rows
+        repriced = evaluator.cost_model.vector_stats["rows_vectorized"] - priced
+        assert 0 < repriced < 10 * len(resnet18.layers)
+
+    def test_cache_clear_drops_both_lrus(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
+        _, _, matrix = _repaired_population(evaluator, 10, seed=47)
+        evaluator.evaluate_matrix(matrix)
+        first = evaluator.cost_model.vector_stats["rows_vectorized"]
+        evaluator.cache_clear()
+        for stats in (evaluator.design_cache_stats, evaluator.layer_cache_stats):
+            assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        evaluator.evaluate_matrix(matrix)
+        assert evaluator.design_cache_stats.hits == 0
+        assert evaluator.cost_model.vector_stats["rows_vectorized"] == 2 * first
 
     def test_cross_model_cache_adoption_cannot_alias(self, ncf):
         # Fingerprint identity comes from the cache's own token table, so

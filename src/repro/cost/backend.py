@@ -10,14 +10,13 @@ or CLIs knowing which implementation prices a design.
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, Union, runtime_checkable
+from typing import List, Protocol, runtime_checkable
 
 from repro.arch.energy import EnergyModel
 from repro.cost.cache import CacheStats, LRUCache
 from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE, CostModel
 from repro.cost.performance import ModelPerformance
 from repro.cost.zigzag import ZigZagCostModel
-from repro.mapping.mapping import Mapping
 from repro.workloads.model import Model
 
 #: Valid ``backend=`` choices, in preference order.
@@ -43,15 +42,6 @@ class CostBackend(Protocol):
         dram_bandwidth: float,
     ) -> ModelPerformance:
         """Price one model under one mapping provider."""
-
-    def evaluate_model_batch(
-        self,
-        model: Model,
-        mappings: Sequence[Union[Mapping, tuple]],
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[ModelPerformance]:
-        """Price one model under many mappings."""
 
     def evaluate_model_matrix(
         self,

@@ -22,7 +22,7 @@ Two implementations of the per-layer analysis coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping as TMapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping as TMapping, Optional, Union
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.cost.reuse import (
     operand_fetches,
     spatial_distinct_factor,
 )
-from repro.mapping.mapping import Mapping, mapping_from_cache_key
+from repro.mapping.mapping import Mapping
 from repro.mapping.tiles import buffer_requirements, operand_footprint
 from repro.workloads.dims import DIMS
 from repro.workloads.layer import Layer
@@ -76,8 +76,8 @@ _report_values = report_values
 class LazyModelPerformance(ModelPerformance):
     """A model report whose per-layer objects materialize on first access.
 
-    The batch path scores thousands of designs per generation, but almost
-    none of them are ever inspected layer by layer — only the handful that
+    The gene-matrix path scores thousands of designs per generation, but
+    almost none of them are ever inspected layer by layer — only the handful that
     win a search get serialized or summarised.  This subclass stores the
     raw per-layer value tuples plus the four aggregates the fitness path
     reads (latency, energy, buffer requirements, computed in the exact
@@ -143,9 +143,10 @@ class LazyModelPerformance(ModelPerformance):
 def _model_dims_matrix(model: Model) -> np.ndarray:
     """Unique-layer dimension sizes as an ``(L, 6)`` int64 matrix.
 
-    Memoized on the model instance (like :func:`model_statics`); the batch
-    path clips a mapping's tiles against every layer in two ``np.minimum``
-    calls instead of per-layer ``map(min, ...)`` loops.
+    Memoized on the model instance (like :func:`model_statics`); the
+    gene-matrix path clips every design's tiles against every layer with
+    one ``np.minimum`` call per level instead of per-layer ``map(min, ...)``
+    loops.
     """
     matrix = model.__dict__.get("_dims_matrix")
     if matrix is None:
@@ -263,9 +264,12 @@ class CostModel:
 
         ``rows_vectorized`` and ``rows_fallback`` count engine rows by how
         they were priced, with ``rows_fallback`` further broken down by
-        reason in the ``fallback_*`` counters (``fallback_depth``,
-        ``fallback_statics_overflow``, ``fallback_intermediate_overflow``,
-        ``fallback_small_batch``, ``fallback_gene_overflow``).  The
+        reason in the ``fallback_*`` counters.  Only
+        ``fallback_statics_overflow``, ``fallback_intermediate_overflow``
+        and ``fallback_small_batch`` can fire; ``fallback_depth`` and
+        ``fallback_gene_overflow`` stay 0 (every depth is priced natively
+        and gene rows are int64 by construction) and keep their keys for
+        the readers of sweep records.  The
         ``l2_*`` counters report the persistent tier when one is attached
         (an L2 hit also counts as an L1 miss, so the L1 hit/miss counters
         are identical cold or warm and the tier's effect is purely who
@@ -521,255 +525,6 @@ class CostModel:
             tier.flush()
         return ModelPerformance(model_name=model.name, layers=tuple(reports))
 
-    # -- whole population --------------------------------------------------
-
-    def evaluate_model_batch(
-        self,
-        model: Model,
-        mappings: Sequence[Union[Mapping, tuple]],
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[ModelPerformance]:
-        """Evaluate one model under many mappings in a single array pass.
-
-        Each entry of ``mappings`` is a :class:`Mapping` or its raw
-        :meth:`Mapping.cache_key` parts (the genome encoding produces the
-        latter directly, skipping mapping construction).  The population
-        axis is packed into the vector engine: per-layer mapping keys are
-        built for every design (tile clipping vectorized against the
-        model's dimension matrix), deduplicated against the layer-report
-        cache *and* within the batch, and only the surviving unique rows
-        reach the arrays.  Results — reports, cache contents and hit/miss
-        counters — are identical to calling :meth:`evaluate_model` once per
-        mapping, except that at cache capacity the batch looks all its keys
-        up before inserting, so eviction-order effects on the *counters*
-        can differ; cached values themselves are pure functions of their
-        key either way.
-        """
-        if self.engine == "reference":
-            return [
-                self.evaluate_model(
-                    model,
-                    mapping
-                    if isinstance(mapping, Mapping)
-                    else mapping_from_cache_key(mapping),
-                    noc_bandwidth,
-                    dram_bandwidth,
-                )
-                for mapping in mappings
-            ]
-        if noc_bandwidth <= 0 or dram_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        pairs = model_statics(model)
-        dims_matrix = _model_dims_matrix(model)
-        engine = self.vector_engine()
-        layer_slots = [engine.statics_slot(statics) for _, statics in pairs]
-        slots_array = np.array(layer_slots, dtype=np.int64)
-        layer_names = tuple(layer.name for layer, _ in pairs)
-        layer_counts = tuple(layer.count for layer, _ in pairs)
-        num_layers = len(pairs)
-        cache = self._cache
-        cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
-        namespace = self._l2_namespace
-        maxsize = cache.maxsize
-        data = cache.data
-        hits = misses = 0
-        pending: Dict[tuple, int] = {}
-        pending_digests: Dict[tuple, bytes] = {}
-        rows: List[tuple] = []
-        row_design: List[int] = []
-        row_layer: List[int] = []
-        pack_depth: Optional[int] = None  # hierarchy depth of the batch
-        packable = True  # all designs uniform-depth with int64-safe genes
-        static_parts: List[tuple] = []
-        tiles_arrays: List[List[np.ndarray]] = []  # per level, per design
-        design_entries: List[List] = []
-        for design_index, mapping in enumerate(mappings):
-            parts = (
-                mapping.cache_key() if isinstance(mapping, Mapping) else mapping
-            )
-            depth = len(parts)
-            if pack_depth is None:
-                pack_depth = depth
-            clipped: Optional[List[np.ndarray]] = None
-            if depth == pack_depth and depth > 0:
-                try:
-                    clipped = []
-                    parent = dims_matrix
-                    for _, level_tiles in parts:
-                        level_clipped = np.minimum(
-                            np.array(level_tiles, dtype=np.int64), parent
-                        )
-                        clipped.append(level_clipped)
-                        parent = level_clipped
-                except OverflowError:
-                    clipped = None  # beyond int64; tuple path is exact
-            if clipped is not None:
-                statics_list = [static for static, _ in parts]
-                clipped_tiles = [
-                    list(map(tuple, level_clipped.tolist()))
-                    for level_clipped in clipped
-                ]
-                keys = [
-                    tuple(
-                        (statics_list[level], clipped_tiles[level][layer])
-                        for level in range(depth)
-                    )
-                    for layer in range(num_layers)
-                ]
-                static_flat: tuple = ()
-                for static in statics_list:
-                    static_flat += static[:2] + static[2]
-                static_parts.append(static_flat)
-                while len(tiles_arrays) < depth:
-                    tiles_arrays.append([])
-                for level in range(depth):
-                    tiles_arrays[level].append(clipped[level])
-            else:
-                if not isinstance(mapping, Mapping):
-                    mapping = mapping_from_cache_key(parts)
-                keys = [
-                    layer_mapping_key(statics, mapping) for _, statics in pairs
-                ]
-                packable = False
-            per_design: List = []
-            for layer_index, ((_, statics), key) in enumerate(zip(pairs, keys)):
-                cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
-                if cache_on:
-                    entry = data.get(cache_key)
-                    if entry is not None:
-                        hits += 1
-                        per_design.append(entry)
-                        continue
-                row_index = pending.get(cache_key)
-                if row_index is None:
-                    if tier is not None:
-                        digest = tuple_key_digest(
-                            namespace, statics, key,
-                            noc_bandwidth, dram_bandwidth,
-                        )
-                        entry = tier.get(digest)
-                        if entry is not None:
-                            # Served from the persistent tier: counts as
-                            # an L1 miss (same counters as a cold run) and
-                            # enters L1 so later occurrences hit in-memory.
-                            misses += 1
-                            data[cache_key] = entry
-                            if len(data) > maxsize:
-                                data.popitem(last=False)
-                            per_design.append(entry)
-                            continue
-                        pending_digests[cache_key] = digest
-                    row_index = len(rows)
-                    rows.append((statics, key))
-                    row_design.append(design_index)
-                    row_layer.append(layer_index)
-                    pending[cache_key] = row_index
-                    if cache_on:
-                        misses += 1
-                elif cache_on:
-                    # Sequential evaluation would have cached the first
-                    # occurrence by now, so this lookup counts as a hit.
-                    hits += 1
-                per_design.append(row_index)
-            design_entries.append(per_design)
-
-        values: List[tuple] = []
-        if rows:
-            layer_index = np.array(row_layer, dtype=np.int64)
-            if packable:
-                values = self._evaluate_rows_packed(
-                    engine,
-                    rows,
-                    static_parts,
-                    tiles_arrays,
-                    np.array(row_design, dtype=np.int64),
-                    layer_index,
-                    slots_array,
-                    num_layers,
-                    noc_bandwidth,
-                    dram_bandwidth,
-                )
-            else:
-                values = engine.evaluate_rows(
-                    rows,
-                    noc_bandwidth,
-                    dram_bandwidth,
-                    slots=[layer_slots[layer] for layer in row_layer],
-                )
-        if cache_on:
-            for cache_key, row_index in pending.items():
-                row_values = values[row_index]
-                data[cache_key] = row_values
-                if len(data) > maxsize:
-                    data.popitem(last=False)
-                if tier is not None:
-                    tier.put(pending_digests[cache_key], row_values)
-            cache.hits += hits
-            cache.misses += misses
-            if tier is not None:
-                tier.flush()
-
-        performances: List[ModelPerformance] = []
-        for per_design in design_entries:
-            resolved = tuple(
-                values[entry] if type(entry) is int else entry
-                for entry in per_design
-            )
-            performances.append(
-                _assemble_performance(
-                    model.name, layer_names, layer_counts, resolved
-                )
-            )
-        return performances
-
-    @staticmethod
-    def _evaluate_rows_packed(
-        engine: VectorEngine,
-        rows: List[tuple],
-        static_parts: List[tuple],
-        tiles_arrays: List[List[np.ndarray]],
-        row_design: np.ndarray,
-        row_layer: np.ndarray,
-        layer_slots: np.ndarray,
-        num_layers: int,
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[tuple]:
-        """Assemble the engine's gene matrix with array gathers and run it.
-
-        The per-level clipped tile arrays and per-design static parts
-        already exist from key building, so the per-row work reduces to two
-        fancy-indexed copies per hierarchy level instead of re-flattening
-        every key tuple.
-        """
-        try:
-            statics_matrix = np.array(static_parts, dtype=np.int64)
-        except OverflowError:
-            return engine.evaluate_rows(
-                rows,
-                noc_bandwidth,
-                dram_bandwidth,
-                slots=layer_slots[row_layer].tolist(),
-            )
-        depth = len(tiles_arrays)
-        tiles = [np.stack(arrays).reshape(-1, 6) for arrays in tiles_arrays]
-        row_position = row_design * num_layers + row_layer
-        matrix = np.empty((len(rows), GENES_PER_LEVEL * depth), dtype=np.int64)
-        gathered = statics_matrix[row_design]
-        for level in range(depth):
-            base = level * GENES_PER_LEVEL
-            matrix[:, base:base + 8] = gathered[:, 8 * level:8 * level + 8]
-            matrix[:, base + 8:base + 14] = tiles[level][row_position]
-        return engine.evaluate_packed(
-            rows,
-            matrix,
-            layer_slots[row_layer],
-            noc_bandwidth,
-            dram_bandwidth,
-        )
-
     def __getstate__(self) -> dict:
         # Worker processes re-derive engine state lazily.
         state = dict(self.__dict__)
@@ -795,12 +550,12 @@ class CostModel:
         against the model's dimension matrix, no per-member tuple
         construction — and deduplicated by raw row bytes before anything
         touches a Python dict.  Results are bit-identical to
-        :meth:`evaluate_model_batch` on the rows' cache keys.
+        :meth:`evaluate_model` on each row's mapping.
         """
         if self.engine == "reference":
             raise ValueError(
                 "the gene-matrix path requires the fast engine; "
-                "use evaluate_model_batch with engine='reference'"
+                "use evaluate_model with engine='reference'"
             )
         if noc_bandwidth <= 0 or dram_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")

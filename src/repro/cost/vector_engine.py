@@ -5,18 +5,20 @@ The scalar fast engine (:mod:`repro.cost.engine`) evaluates one
 This module evaluates a whole batch of such pairs — one *row* per
 (population member, unique layer) cache miss — in a single NumPy pass:
 
-* a packer flattens each row's layer mapping key (spatial sizes, parallel
-  dims, loop orders, clipped tiles) into one ``int64`` matrix — one
-  :data:`GENES_PER_LEVEL`-column block per hierarchy level — and resolves
-  the per-layer invariants through a small statics table, and
+* the gene-matrix path
+  (:meth:`repro.cost.maestro.CostModel.evaluate_model_matrix`) packs each
+  row's genes (spatial sizes, parallel dims, loop orders, clipped tiles)
+  into one ``int64`` matrix — one :data:`GENES_PER_LEVEL`-column block per
+  hierarchy level — and the engine resolves the per-layer invariants
+  through a small statics table, and
 * the reuse/latency/energy arithmetic of the scalar engine
   (:func:`repro.cost.engine._evaluate_two_level` and its depth-general
   sibling ``_evaluate_general``) is re-expressed as level-stacked
   elementwise array operations **in the same operation order**.
 
 Hierarchy depth is a parameter, not an assumption: 1-level, 2-level and
-3+-level rows all ride the array pipeline (mixed-depth batches are grouped
-by depth first).
+3+-level rows all ride the array pipeline (a batch has one depth, read off
+the matrix width).
 
 Bit-identical results are the contract (enforced by
 ``tests/cost/test_vector_engine.py``).  The scalar engine does its integer
@@ -80,8 +82,10 @@ class VectorEngine:
     statics table (one row per unique layer shape seen) and fallback
     telemetry: ``rows_vectorized`` / ``rows_fallback`` totals plus the
     per-reason ``fallback_counters`` dict, which makes the scalar-fallback
-    rate *diagnosable* (a non-zero ``fallback_depth`` would mean a hierarchy
-    depth regressed off the vector path).
+    rate *diagnosable*.  Only the ``statics_overflow``,
+    ``intermediate_overflow`` and ``small_batch`` reasons can fire;
+    ``fallback_depth`` and ``fallback_gene_overflow`` stay 0 and keep their
+    keys for the readers of sweep records.
     """
 
     def __init__(
@@ -112,7 +116,7 @@ class VectorEngine:
 
     # -- statics table -----------------------------------------------------
 
-    def _statics_slot(self, statics: LayerStatics) -> int:
+    def statics_slot(self, statics: LayerStatics) -> int:
         """Row of ``statics`` in the table (assigned on first sight)."""
         slot = self._statics_index.get(statics)
         if slot is None:
@@ -162,86 +166,6 @@ class VectorEngine:
 
     # -- public API --------------------------------------------------------
 
-    def evaluate_rows(
-        self,
-        rows: Sequence[Row],
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-        slots: Optional[Sequence[int]] = None,
-    ) -> List[tuple]:
-        """Evaluate every (statics, key) row; returns report value tuples.
-
-        The tuples follow :func:`repro.cost.engine.report_values` field
-        order, so they drop straight into the layer-report cache and are
-        reconstituted per layer with ``make_report``.  ``slots`` optionally
-        carries precomputed :meth:`statics_slot` values parallel to
-        ``rows``.  Handles any hierarchy depth: mixed-depth batches are
-        grouped by depth and each group rides the array pipeline.  The
-        batch path uses :meth:`evaluate_packed` instead, which skips the
-        per-row flattening done here.
-        """
-        count = len(rows)
-        values: List[Optional[tuple]] = [None] * count
-        # depth -> (positions, flattened gene rows, statics slots)
-        groups: dict = {}
-        statics_rows = self._statics_rows
-        for position, (statics, key) in enumerate(rows):
-            if len(key) == 0:
-                values[position] = self._scalar_values(
-                    statics, key, noc_bandwidth, dram_bandwidth, "depth"
-                )
-                continue
-            slot = (
-                slots[position] if slots is not None
-                else self._statics_slot(statics)
-            )
-            if not statics_rows[slot][8]:
-                values[position] = self._scalar_values(
-                    statics, key, noc_bandwidth, dram_bandwidth,
-                    "statics_overflow",
-                )
-                continue
-            flat_row: tuple = ()
-            for static, tile in key:
-                flat_row += static[:2] + static[2] + tile
-            group = groups.setdefault(len(key), ([], [], []))
-            group[0].append(position)
-            group[1].append(flat_row)
-            group[2].append(slot)
-
-        for positions, flat, group_slots in groups.values():
-            if len(positions) < MIN_VECTOR_ROWS:
-                for position in positions:
-                    statics, key = rows[position]
-                    values[position] = self._scalar_values(
-                        statics, key, noc_bandwidth, dram_bandwidth,
-                        "small_batch",
-                    )
-                continue
-            try:
-                matrix = np.array(flat, dtype=np.int64)
-            except OverflowError:
-                # A gene beyond int64 (pathological hand-built mappings);
-                # the scalar engine's arbitrary-precision ints handle it.
-                for position in positions:
-                    statics, key = rows[position]
-                    values[position] = self._scalar_values(
-                        statics, key, noc_bandwidth, dram_bandwidth,
-                        "gene_overflow",
-                    )
-                continue
-            tuples = self._finish_matrix(
-                rows,
-                positions,
-                matrix,
-                np.array(group_slots, dtype=np.int64),
-                noc_bandwidth,
-                dram_bandwidth,
-            )
-            for index, position in enumerate(positions):
-                values[position] = tuples[index]
-        return values
-
     def evaluate_packed(
         self,
         rows: Sequence[Row],
@@ -253,10 +177,11 @@ class VectorEngine:
         """Evaluate uniform-depth rows whose genes are already packed.
 
         ``matrix`` is the ``(n, 14 * num_levels)`` int64 gene matrix
-        (spatial, parallel, order, tiles per level) the batch path assembles
-        with array gathers — hierarchy depth is inferred from its width;
-        ``slots`` are the rows' statics-table slots.  ``rows`` is consulted
-        only when a row needs the scalar fallback.
+        (spatial, parallel, order, tiles per level) that
+        :meth:`~repro.cost.maestro.CostModel.evaluate_model_matrix`
+        assembles with array gathers — hierarchy depth is inferred from its
+        width; ``slots`` are the rows' statics-table slots.  ``rows`` is
+        consulted only when a row needs the scalar fallback.
         """
         count = len(rows)
         statics_rows = self._statics_rows
@@ -296,10 +221,6 @@ class VectorEngine:
         for index, position in enumerate(keep):
             values[position] = tuples[index]
         return values
-
-    def statics_slot(self, statics: LayerStatics) -> int:
-        """Public view of the statics-table slot (for batch-path callers)."""
-        return self._statics_slot(statics)
 
     def _finish_matrix(
         self,
@@ -354,9 +275,9 @@ class VectorEngine:
     ) -> tuple:
         """One row through the scalar engine (fallback path).
 
-        ``reason`` names the per-reason counter to bump (``depth``,
-        ``statics_overflow``, ``intermediate_overflow``, ``small_batch`` or
-        ``gene_overflow``); ``rows_fallback`` stays the total.
+        ``reason`` names the per-reason counter to bump
+        (``statics_overflow``, ``intermediate_overflow`` or
+        ``small_batch``); ``rows_fallback`` stays the total.
         """
         self.rows_fallback += 1
         self.fallback_counters["fallback_" + reason] += 1

@@ -31,7 +31,7 @@ tolerance gated by ``repro crosscheck``, while area-side quantities
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from repro.arch.energy import EnergyModel
 from repro.cost.cache import CacheStats, LRUCache
@@ -49,7 +49,7 @@ from repro.cost.persist import (
     tuple_key_digest,
 )
 from repro.cost.performance import LayerPerformance, ModelPerformance
-from repro.mapping.mapping import Mapping, mapping_from_cache_key
+from repro.mapping.mapping import Mapping
 from repro.workloads.model import Model
 from repro.workloads.statics import (
     REDUCTION_INDEXES,
@@ -220,9 +220,9 @@ class ZigZagCostModel:
     :class:`repro.cost.maestro.CostModel` (layer-report LRU, cache
     adoption, stats) so the evaluator and sweep runner are backend-blind.
     The ``engine`` selector is an analytic-backend concept; this backend
-    has a single scalar implementation, so population calls loop over the
-    per-design path (the evaluator keeps its vector fast paths gated to
-    the analytic backend).
+    has a single scalar implementation, so the evaluator prices populations
+    with one :meth:`evaluate_model` call per design (its gene-matrix path is
+    gated to the analytic backend).
     """
 
     energy_model: EnergyModel = EnergyModel()
@@ -372,26 +372,6 @@ class ZigZagCostModel:
         if tier is not None:
             tier.flush()
         return ModelPerformance(model_name=model.name, layers=tuple(reports))
-
-    def evaluate_model_batch(
-        self,
-        model: Model,
-        mappings: Sequence[Union[Mapping, tuple]],
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[ModelPerformance]:
-        """Evaluate one model under many mappings (sequential loop)."""
-        return [
-            self.evaluate_model(
-                model,
-                mapping
-                if isinstance(mapping, Mapping)
-                else mapping_from_cache_key(mapping),
-                noc_bandwidth,
-                dram_bandwidth,
-            )
-            for mapping in mappings
-        ]
 
     def evaluate_model_matrix(self, *args, **kwargs):
         """The gene-matrix path is analytic-backend only."""

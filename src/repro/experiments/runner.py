@@ -942,9 +942,9 @@ def _cache_record(
     persistent tier / the vector engine; jobs on the scalar engines keep
     their records free of all-zero noise.  ``vector`` splits the scalar
     fallbacks by reason, so a sweep record shows at a glance *why* rows
-    left the vector path (``fallback_depth`` in particular is a
-    regression detector: the depth-generalized engine prices every
-    hierarchy depth, so it must stay 0).
+    left the vector path (``fallback_depth`` and
+    ``fallback_gene_overflow`` never fire and always read 0; their keys
+    stay for the readers of sweep records).
     """
     record = {
         "design": {

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.arch.area import AreaBreakdown
 from repro.arch.hardware import HardwareConfig
 from repro.cost.performance import ModelPerformance
-from repro.mapping.mapping import Mapping, mapping_from_cache_key
+from repro.mapping.mapping import Mapping
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,11 @@ class LazyRowMappingDesign(AcceleratorDesign):
 
     The gene-matrix evaluation path identifies designs by the raw bytes of
     their repaired :class:`~repro.encoding.genome_matrix.GenomeMatrix` row
-    (which carries every gene).  Like :class:`LazyMappingDesign`, the
-    mapping only materializes for the handful of designs that are ever
-    inspected.
+    (which carries every gene).  It scores thousands of designs per
+    generation, while only the few that win a search ever have their
+    mapping inspected (serialization, ``describe``), so the mapping
+    materializes from the row on first access.  All other fields behave
+    exactly like the eager dataclass.
     """
 
     @staticmethod
@@ -94,37 +96,3 @@ class LazyRowMappingDesign(AcceleratorDesign):
             self.__dict__["_mapping"] = cached
         return cached
 
-
-class LazyMappingDesign(AcceleratorDesign):
-    """A design point whose :class:`Mapping` materializes on first access.
-
-    The batched population path scores thousands of designs per generation
-    while only the few that win a search ever have their mapping inspected
-    (serialization, ``describe``); those are rebuilt from the stored cache
-    key, which carries every gene.  All other fields behave exactly like
-    the eager dataclass.
-    """
-
-    @staticmethod
-    def build(
-        hardware: HardwareConfig,
-        mapping_key: tuple,
-        performance: ModelPerformance,
-        area: AreaBreakdown,
-    ) -> "LazyMappingDesign":
-        design = object.__new__(LazyMappingDesign)
-        design.__dict__.update(
-            hardware=hardware,
-            performance=performance,
-            area=area,
-            _mapping_key=mapping_key,
-        )
-        return design
-
-    @property
-    def mapping(self) -> Mapping:
-        cached = self.__dict__.get("_mapping")
-        if cached is None:
-            cached = mapping_from_cache_key(self._mapping_key)
-            self.__dict__["_mapping"] = cached
-        return cached

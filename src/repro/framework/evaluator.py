@@ -25,13 +25,15 @@ from repro.cost.cache import CacheStats, LRUCache
 from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE
 from repro.cost.performance import ModelPerformance
 from repro.encoding.genome import Genome, GenomeSpace
-from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix, row_to_genome
-from repro.framework.constraints import ConstraintChecker
-from repro.framework.designpoint import (
-    AcceleratorDesign,
-    LazyMappingDesign,
-    LazyRowMappingDesign,
+from repro.encoding.genome_matrix import (
+    LEVEL_WIDTH,
+    SPATIAL_COL,
+    TILE_COLS,
+    GenomeMatrix,
+    row_to_genome,
 )
+from repro.framework.constraints import ConstraintChecker
+from repro.framework.designpoint import AcceleratorDesign, LazyRowMappingDesign
 from repro.framework.objective import Objective, ObjectiveSet, objective_value
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import Layer
@@ -88,16 +90,6 @@ def _fire_worker_faults() -> None:
     plan = getattr(_WORKER_EVALUATOR, "fault_plan", None)
     if plan is not None:
         plan.on_worker_chunk()
-
-
-def _evaluate_batch_in_worker(genomes: List[Genome]) -> List["EvaluationResult"]:
-    """Evaluate a population chunk in a worker process (pool map target).
-
-    Chunks go through the worker evaluator's own in-process population
-    path, so the vector engine runs inside each worker.
-    """
-    _fire_worker_faults()
-    return _WORKER_EVALUATOR.evaluate_population(genomes, workers=1)
 
 
 def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> List["EvaluationResult"]:
@@ -213,8 +205,8 @@ class DesignEvaluator:
         behind bounded LRU caches.  Results are bit-identical either way;
         the flag exists for benchmarking and debugging (``--no-cache``).
     workers:
-        Default process-pool width for :meth:`evaluate_population`.
-        ``None``/``1`` evaluates sequentially in-process.
+        Default process-pool width for :meth:`evaluate_population` and
+        :meth:`evaluate_matrix`.  ``None``/``1`` evaluates in-process.
     engine:
         Evaluation-engine selector.  ``"vector"`` (default) batches whole
         populations through the NumPy structure-of-arrays engine
@@ -378,109 +370,32 @@ class DesignEvaluator:
     ) -> List[EvaluationResult]:
         """Score a whole population in one call, preserving input order.
 
-        With ``engine="vector"`` (the default) the population is the
-        vectorization axis: design-cache misses are deduplicated and their
-        per-layer costs evaluated in one NumPy pass.  ``workers`` (default:
-        the evaluator's ``workers`` setting) selects an optional process
-        pool, which ships contiguous population chunks so each worker runs
-        the vector engine on its slice.  Results are bit-identical to
-        evaluating the same genomes one by one, because every evaluation is
-        a pure function of its genome.
+        Under the vector engine with the analytic backend, or whenever a
+        worker pool is used (``workers``, default: the evaluator's
+        ``workers`` setting), the genomes are packed into a
+        :class:`GenomeMatrix` and priced by :meth:`evaluate_matrix`, the one
+        population data path.  Packing raises spatial and tile genes below
+        1 to 1, exactly as :meth:`Genome.cache_key` does.  A single genome,
+        or a scalar engine without a pool, takes the per-genome
+        :meth:`evaluate_genome` loop.  Results are bit-identical either way,
+        because every evaluation is a pure function of its genome, and each
+        carries the caller's own genome object.
         """
         genomes = list(genomes)
         width = self.workers if workers is None else workers
-        if (
-            width is not None
-            and width > 1
-            and len(genomes) > 1
-            and not self._pool_degraded
-        ):
-            chunk = -(-len(genomes) // width)
-            chunks = [
-                genomes[start : start + chunk]
-                for start in range(0, len(genomes), chunk)
-            ]
-            batches = self._map_chunks(
-                _evaluate_batch_in_worker,
-                chunks,
-                width,
-                lambda piece: self.evaluate_population(piece, workers=1),
-            )
-            return [result for batch in batches for result in batch]
-        if (
-            self.engine == "vector"
-            and self.backend == "analytic"
-            and len(genomes) > 1
-        ):
-            return self._evaluate_population_vector(genomes)
-        return [self.evaluate_genome(genome) for genome in genomes]
-
-    def _evaluate_population_vector(
-        self, genomes: List[Genome]
-    ) -> List[EvaluationResult]:
-        """The in-process population path of the vector engine.
-
-        Mirrors ``[self.evaluate_genome(g) for g in genomes]`` including the
-        design-cache counters: duplicates of an uncached genome count as
-        hits, exactly as they would once the sequential loop had cached the
-        first occurrence.
-        """
-        cache = self._design_cache
-        count = len(genomes)
-        results: List[Optional[EvaluationResult]] = [None] * count
-        slots: List[Optional[int]] = [None] * count
-        pending: dict = {}
-        miss_genomes: List[Genome] = []
-        miss_keys: List[tuple] = []
-        for position, genome in enumerate(genomes):
-            key = genome.cache_key()
-            slot = pending.get(key)
-            if slot is not None:
-                if cache.maxsize > 0:
-                    cache.hits += 1
-                slots[position] = slot
-                continue
-            result = cache.get(key)
-            if result is not None:
-                results[position] = _with_genome(result, genome)
-                continue
-            pending[key] = len(miss_genomes)
-            slots[position] = len(miss_genomes)
-            miss_genomes.append(genome)
-            miss_keys.append(key)
-
-        if miss_genomes:
-            # Loop orders are validated here (to_mapping would reject them
-            # on the scalar path); everything else in the cache key is
-            # already in clamped index form, so the cost model consumes the
-            # keys directly and mappings materialize lazily on the results.
-            for key in miss_keys:
-                for (_, _, order), _ in key:
-                    if len(order) != 6 or len(set(order)) != 6:
-                        raise ValueError(
-                            f"order must be a permutation of all dims, got {order}"
-                        )
-            performances = self.cost_model.evaluate_model_batch(
-                self.model,
-                miss_keys,
-                noc_bandwidth=self.platform.noc_bandwidth,
-                dram_bandwidth=self.platform.dram_bandwidth,
-            )
-            miss_results: List[EvaluationResult] = []
-            for key, performance in zip(miss_keys, performances):
-                result = self._score_performance(
-                    performance,
-                    pe_array=tuple(part[0][0] for part in key),
-                    mapping_key=key,
-                )
-                cache.put(key, result)
-                miss_results.append(result)
-            for position, slot in enumerate(slots):
-                if slot is not None:
-                    results[position] = _with_genome(
-                        miss_results[slot], genomes[position]
-                    )
-        return results
+        pooled = width is not None and width > 1 and not self._pool_degraded
+        vector = self.engine == "vector" and self.backend == "analytic"
+        if len(genomes) < 2 or not (pooled or vector):
+            return [self.evaluate_genome(genome) for genome in genomes]
+        matrix = GenomeMatrix.from_genomes(genomes)
+        levels = matrix.data.reshape(len(matrix), matrix.num_levels, LEVEL_WIDTH)
+        for genes in (levels[:, :, SPATIAL_COL], levels[:, :, TILE_COLS]):
+            np.maximum(genes, 1, out=genes)
+        results = self.evaluate_matrix(matrix, workers)
+        return [
+            _with_genome(result, genome)
+            for result, genome in zip(results, genomes)
+        ]
 
     # -- gene-matrix population path ---------------------------------------
 
@@ -542,12 +457,13 @@ class DesignEvaluator:
         count = len(data)
         orders = data.reshape(count, matrix.num_levels, 14)[:, :, 2:8]
         invalid = (np.sort(orders, axis=2) != np.arange(6, dtype=np.int64)).any(
-            axis=(1, 2)
+            axis=2
         )
         if invalid.any():
-            level = orders[np.flatnonzero(invalid)[0]]
+            member, level = np.argwhere(invalid)[0].tolist()
             raise ValueError(
-                f"order must be a permutation of all dims, got {level.tolist()}"
+                f"order of level {level} must be a permutation of all dims, "
+                f"got {orders[member, level].tolist()}"
             )
         raw = data.tobytes()
         step = data.shape[1] * 8
@@ -881,16 +797,14 @@ class DesignEvaluator:
         performance: ModelPerformance,
         pe_array: tuple,
         design_mapping: Optional[Mapping] = None,
-        mapping_key: Optional[tuple] = None,
         mapping_fingerprint: Optional[bytes] = None,
     ) -> EvaluationResult:
         """Turn a cost-model report into a scored design point.
 
-        The design's mapping comes eagerly (``design_mapping``), as a cache
-        key (``mapping_key``), or as a gene-row fingerprint
-        (``mapping_fingerprint``); the last two rebuild the mapping lazily
-        on first access (the batch paths, where almost no mapping is ever
-        inspected).
+        The design's mapping comes eagerly (``design_mapping``) or as a
+        gene-row fingerprint (``mapping_fingerprint``), which rebuilds the
+        mapping lazily on first access (the gene-matrix path, where almost
+        no mapping is ever inspected).
         """
         hardware = self._derive_hardware(performance, pe_array=pe_array)
         area = self.area_model.breakdown(hardware)
@@ -914,13 +828,9 @@ class DesignEvaluator:
                 performance=performance,
                 area=area,
             )
-        elif mapping_fingerprint is not None:
+        else:
             design = LazyRowMappingDesign.build(
                 hardware, mapping_fingerprint, performance, area
-            )
-        else:
-            design = LazyMappingDesign.build(
-                hardware, mapping_key, performance, area
             )
         return EvaluationResult(
             fitness=fitness,

@@ -5,10 +5,12 @@ sampling budget.  :class:`SearchTracker` enforces that budget, counts
 evaluations, records the best design point found so far and offers both the
 genome view and the flat-vector view of the encoding, so any algorithm can
 be plugged in without touching the framework.  Population-based algorithms
-should prefer the batched views (:meth:`SearchTracker.evaluate_batch` /
-:meth:`SearchTracker.evaluate_vector_batch`): whole generations are scored
-in one evaluator call, which keeps the memoized evaluation engine hot and
-lets the evaluator fan the work out over worker processes.
+should prefer the batched views (:meth:`SearchTracker.evaluate_matrix`,
+:meth:`SearchTracker.evaluate_batch` and
+:meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
+generation in one evaluator call on the one gene-matrix pipeline, which
+keeps the memoized evaluation engine hot and lets the evaluator fan the
+work out over worker processes.
 """
 
 from __future__ import annotations

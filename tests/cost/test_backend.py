@@ -30,6 +30,12 @@ def _random_mappings(model, count, seed, num_levels=2):
     ]
 
 
+def _evaluate_each(backend, model, mappings):
+    return [
+        backend.evaluate_model(model, mapping, 64.0, 16.0) for mapping in mappings
+    ]
+
+
 class TestFactory:
     def test_analytic_builds_cost_model(self):
         backend = create_backend("analytic", bytes_per_element=2)
@@ -63,10 +69,9 @@ class TestZigZagAgreement:
         mappings = _random_mappings(model, 24, seed=5, num_levels=num_levels)
         analytic = create_backend("analytic")
         zigzag = create_backend("zigzag")
-        for a, z in zip(
-            analytic.evaluate_model_batch(model, mappings, 64.0, 16.0),
-            zigzag.evaluate_model_batch(model, mappings, 64.0, 16.0),
-        ):
+        for mapping in mappings:
+            a = analytic.evaluate_model(model, mapping, 64.0, 16.0)
+            z = zigzag.evaluate_model(model, mapping, 64.0, 16.0)
             for la, lz in zip(a.layers, z.layers):
                 # Exact: pure functions of the shared geometry.
                 assert la.l1_requirement_bytes == lz.l1_requirement_bytes
@@ -91,10 +96,10 @@ class TestZigZagPlumbing:
         model = get_model("ncf")
         mappings = _random_mappings(model, 4, seed=9)
         backend = create_backend("zigzag")
-        first = backend.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        first = _evaluate_each(backend, model, mappings)
         misses = backend.cache_stats.misses
         assert misses > 0
-        again = backend.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        again = _evaluate_each(backend, model, mappings)
         assert backend.cache_stats.misses == misses
         assert backend.cache_stats.hits > 0
         for a, b in zip(first, again):
@@ -105,12 +110,12 @@ class TestZigZagPlumbing:
         model = get_model("ncf")
         mappings = _random_mappings(model, 4, seed=9)
         warm = create_backend("zigzag")
-        warm.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        _evaluate_each(warm, model, mappings)
         before = warm.cache_stats
         cold = create_backend("zigzag")
         cold.adopt_cache(warm.layer_cache)
         assert cold.layer_cache is warm.layer_cache
-        cold.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        _evaluate_each(cold, model, mappings)
         after = cold.cache_stats
         assert after.misses == before.misses
         assert after.hits > before.hits
@@ -136,9 +141,7 @@ class TestZigZagPlumbing:
     def test_cache_clear_resets_counters(self):
         model = get_model("ncf")
         backend = create_backend("zigzag")
-        backend.evaluate_model_batch(
-            model, _random_mappings(model, 2, seed=3), 64.0, 16.0
-        )
+        _evaluate_each(backend, model, _random_mappings(model, 2, seed=3))
         backend.cache_clear()
         assert backend.cache_stats.size == 0
         assert backend.cache_stats.hits == 0

@@ -7,7 +7,8 @@ vector engine's contract: every depth the vector path prices (1-, 2- and
 2**53-scale intermediates — must ALSO reproduce
 ``CostModel(engine="reference")`` bit for bit, with the per-reason fallback
 counters in ``CostModel.vector_stats`` accounting for every such row, on
-both the mapping-batch and the gene-matrix entry points.
+the gene-matrix entry point, whether it is fed packed mappings or a
+repaired genome population.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.mapping.mapping import uniform_mapping
 from repro.workloads.layer import Layer
 from repro.workloads.model import Model
 from repro.workloads.registry import get_model
+from tests.cost.test_vector_engine import pack_mappings
 
 
 def _random_mappings(model, count, seed, num_levels=2):
@@ -62,7 +64,9 @@ class TestFallbacksMatchReference:
         mappings = _random_mappings(model, 8, seed=101, num_levels=num_levels)
         batch_model = CostModel()
         reference = CostModel(engine="reference")
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         stats = batch_model.vector_stats
         assert stats["rows_vectorized"] > 0
         assert stats["fallback_depth"] == 0
@@ -80,7 +84,9 @@ class TestFallbacksMatchReference:
         mappings = _random_mappings(model, 3 * MIN_VECTOR_ROWS, seed=103)
         batch_model = CostModel()
         reference = CostModel(engine="reference")
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         stats = batch_model.vector_stats
         assert stats["rows_vectorized"] == 0
         assert stats["rows_fallback"] == len(mappings)
@@ -103,7 +109,9 @@ class TestFallbacksMatchReference:
         mappings += _random_mappings(model, 3 * MIN_VECTOR_ROWS, seed=37)
         batch_model = CostModel()
         reference = CostModel(engine="reference")
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         stats = batch_model.vector_stats
         assert stats["rows_fallback"] > 0
         assert stats["rows_vectorized"] > 0

@@ -29,7 +29,7 @@ from repro.cost.persist import (
     tuple_key_digest,
 )
 from repro.encoding.genome import GenomeSpace
-from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix, row_cache_key
+from repro.encoding.genome_matrix import GenomeMatrix, mapping_from_row, repaired_matrix
 from repro.workloads.statics import layer_statics
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.objective import Objective
@@ -408,18 +408,22 @@ class TestDigestScheme:
     def test_tuple_keyed_store_serves_the_matrix_path(
         self, tiny_model, tmp_path, num_levels
     ):
-        # A store filled through evaluate_model_batch (tuple digests, the
-        # per-genome loops) must answer every evaluate_model_matrix row
-        # (row digests, the matrix loops) at any depth, so one directory
-        # stays fully warm whichever loop a search takes.
+        # A store filled through evaluate_model (tuple digests, the scalar
+        # engines) must answer every evaluate_model_matrix row (row
+        # digests, the gene-matrix path) at any depth, so one directory
+        # stays fully warm whichever engine a search takes.
         space = GenomeSpace.from_model(tiny_model, max_pes=256, num_levels=num_levels)
         population = space.random_population(12, np.random.default_rng(num_levels))
         matrix = repaired_matrix(GenomeMatrix.from_genomes(population), space).data
-        keys = [row_cache_key(row, num_levels) for row in matrix.tolist()]
 
         writer = CostModel()
         writer.attach_persistent_cache(PersistentLayerCache(tmp_path))
-        written = writer.evaluate_model_batch(tiny_model, keys, NOC, DRAM)
+        written = [
+            writer.evaluate_model(
+                tiny_model, mapping_from_row(row, num_levels), NOC, DRAM
+            )
+            for row in matrix
+        ]
         assert writer.vector_stats["l2_writes"] > 0
         writer.layer_cache.tier.close()
 

@@ -6,9 +6,9 @@ of every report — and therefore every fitness, cache entry and search
 trajectory — is *bit-identical* to the scalar fast engine and the seed
 reference implementation.  These tests sweep seeded random repaired
 genomes over real models and platforms and compare with ``==`` (no
-tolerances), and additionally exercise every scalar-fallback trigger:
-non-two-level hierarchies, oversized layer statics, sub-threshold batches
-and 2**53-scale intermediates.
+tolerances), and additionally exercise 1- and 3-level hierarchies and
+every scalar-fallback trigger: oversized layer statics, sub-threshold
+batches and 2**53-scale intermediates.
 """
 
 from __future__ import annotations
@@ -39,6 +39,21 @@ def _random_mappings(model, count, seed, num_levels=2):
         repair_genome(space.random_genome(rng), space).to_mapping()
         for _ in range(count)
     ]
+
+
+def pack_mappings(mappings):
+    """Flatten each mapping's cache key into one gene-matrix row."""
+    return np.array(
+        [
+            [
+                gene
+                for (spatial, parallel, order), tiles in mapping.cache_key()
+                for gene in (spatial, parallel, *order, *tiles)
+            ]
+            for mapping in mappings
+        ],
+        dtype=np.int64,
+    )
 
 
 def _assert_reports_identical(batch_performance, scalar_performance):
@@ -72,8 +87,11 @@ class TestBatchMatchesScalar:
         mappings = _random_mappings(model, 25, seed=2022)
         batch_model = CostModel()
         scalar_model = CostModel()
-        batch = batch_model.evaluate_model_batch(
-            model, mappings, platform.noc_bandwidth, platform.dram_bandwidth
+        batch = batch_model.evaluate_model_matrix(
+            model,
+            pack_mappings(mappings),
+            platform.noc_bandwidth,
+            platform.dram_bandwidth,
         )
         for mapping, batch_performance in zip(mappings, batch):
             scalar = scalar_model.evaluate_model(
@@ -87,21 +105,13 @@ class TestBatchMatchesScalar:
     def test_reference_engine_agrees(self):
         model = get_model("resnet18")
         mappings = _random_mappings(model, 6, seed=7)
-        batch = CostModel().evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = CostModel().evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         reference = CostModel(engine="reference")
         for mapping, batch_performance in zip(mappings, batch):
             scalar = reference.evaluate_model(model, mapping, 64.0, 16.0)
             _assert_reports_identical(batch_performance, scalar)
-
-    def test_raw_cache_key_parts_match_mapping_objects(self):
-        model = get_model("ncf")
-        mappings = _random_mappings(model, 10, seed=3)
-        from_mappings = CostModel().evaluate_model_batch(model, mappings, 64.0, 16.0)
-        from_parts = CostModel().evaluate_model_batch(
-            model, [mapping.cache_key() for mapping in mappings], 64.0, 16.0
-        )
-        for a, b in zip(from_mappings, from_parts):
-            _assert_reports_identical(a, b)
 
     def test_cache_counters_match_sequential_path(self):
         model = get_model("ncf")
@@ -109,22 +119,14 @@ class TestBatchMatchesScalar:
         mappings = mappings + mappings[:4]  # duplicates within the batch
         batch_model = CostModel()
         scalar_model = CostModel()
-        batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         for mapping in mappings:
             scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
         assert batch_model.cache_stats.hits == scalar_model.cache_stats.hits
         assert batch_model.cache_stats.misses == scalar_model.cache_stats.misses
         assert batch_model.cache_stats.size == scalar_model.cache_stats.size
-
-    def test_batch_warms_the_cache_for_the_scalar_path(self):
-        model = get_model("ncf")
-        mappings = _random_mappings(model, 5, seed=9)
-        cost_model = CostModel()
-        cost_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        before = cost_model.cache_stats
-        cost_model.evaluate_model(model, mappings[0], 64.0, 16.0)
-        after = cost_model.cache_stats
-        assert after.hits - before.hits == len(model.unique_layers())
 
 
 class TestScalarFallbacks:
@@ -135,7 +137,9 @@ class TestScalarFallbacks:
         model = get_model("ncf")
         mappings = _random_mappings(model, 8, seed=11, num_levels=num_levels)
         batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         scalar_model = CostModel()
         for mapping, batch_performance in zip(mappings, batch):
             scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
@@ -144,32 +148,15 @@ class TestScalarFallbacks:
         assert batch_model.vector_stats["fallback_depth"] == 0
         assert batch_model.vector_stats["rows_fallback"] == 0
 
-    def test_mixed_depth_batches_group_by_depth(self):
-        # One call containing 1-, 2- and 3-level mappings vectorizes every
-        # depth group (each is >= MIN_VECTOR_ROWS rows) without fallback.
-        model = get_model("ncf")
-        mappings = []
-        for num_levels in (1, 2, 3):
-            mappings += _random_mappings(
-                model, 2 * MIN_VECTOR_ROWS, seed=41 + num_levels,
-                num_levels=num_levels,
-            )
-        batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        scalar_model = CostModel()
-        for mapping, batch_performance in zip(mappings, batch):
-            scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
-            _assert_reports_identical(batch_performance, scalar)
-        assert batch_model.vector_stats["rows_fallback"] == 0
-        assert batch_model.vector_stats["rows_vectorized"] > 0
-
     def test_oversized_layer_statics_fall_back(self):
         # macs = 2**60 >= 2**53: float64 cannot hold the integer chain.
         layer = Layer.conv2d("huge", 2**20, 2**20, (2**10, 2**10), 1)
         model = Model(name="huge", layers=(layer,))
         mappings = _random_mappings(model, 3 * MIN_VECTOR_ROWS, seed=31)
         batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         scalar_model = CostModel()
         for mapping, batch_performance in zip(mappings, batch):
             scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
@@ -189,7 +176,9 @@ class TestScalarFallbacks:
         mappings = [uniform_mapping(layer, (4, 4), ("Y", "X"))]
         mappings += _random_mappings(model, 3 * MIN_VECTOR_ROWS, seed=37)
         batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         scalar_model = CostModel()
         for mapping, batch_performance in zip(mappings, batch):
             scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
@@ -226,7 +215,9 @@ class TestScalarFallbacks:
             for c_tile in (1, 2, 3, 5, 7, 11, 13, 17, 19)
         ]
         batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         scalar_model = CostModel()
         assert any(
             performance.layers[0].dram_bytes >= 2.0**53 for performance in batch
@@ -241,7 +232,9 @@ class TestScalarFallbacks:
         num_rows = max(1, (MIN_VECTOR_ROWS - 1) // len(model.unique_layers()))
         mappings = _random_mappings(model, num_rows, seed=13)
         batch_model = CostModel()
-        batch = batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
+        batch = batch_model.evaluate_model_matrix(
+            model, pack_mappings(mappings), 64.0, 16.0
+        )
         scalar = CostModel()
         for mapping, batch_performance in zip(mappings, batch):
             _assert_reports_identical(
@@ -276,7 +269,9 @@ class TestLazyContainers:
     def test_lazy_performance_materializes_consistently(self):
         model = get_model("ncf")
         mapping = _random_mappings(model, 1, seed=19)[0]
-        batch = CostModel().evaluate_model_batch(model, [mapping], 64.0, 16.0)[0]
+        batch = CostModel().evaluate_model_matrix(
+            model, pack_mappings([mapping]), 64.0, 16.0
+        )[0]
         eager = CostModel().evaluate_model(model, mapping, 64.0, 16.0)
         assert isinstance(batch, LazyModelPerformance)
         # Derived properties that go through the lazy layers.

@@ -15,6 +15,7 @@ from repro.arch.platform import CLOUD, EDGE
 from repro.encoding.repair import repair_genome
 from repro.framework.evaluator import DesignEvaluator
 from repro.framework.search import SearchTracker
+from repro.workloads.dims import DIM_INDEX
 from repro.workloads.registry import get_model
 
 PLATFORMS = pytest.mark.parametrize("platform", [EDGE, CLOUD], ids=["edge", "cloud"])
@@ -149,6 +150,26 @@ class TestWorkerPool:
             assert a.latency == b.latency
             assert a.energy == b.energy
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_pooled_scalar_engines_return_in_process_results(
+        self, resnet18, engine
+    ):
+        pooled = DesignEvaluator(
+            model=resnet18, platform=EDGE, engine=engine, workers=2
+        )
+        local = DesignEvaluator(model=resnet18, platform=EDGE, engine=engine)
+        _, genomes = _seeded_genomes(local, 6, seed=19)
+        try:
+            results = pooled.evaluate_population(genomes)
+        finally:
+            pooled.shutdown()
+        expected = local.evaluate_population(genomes)
+        for result, want, genome in zip(results, expected, genomes):
+            assert result.genome is genome
+            assert result.fitness == want.fitness
+            assert result.latency == want.latency
+            assert result.energy == want.energy
+
     def test_invalid_worker_count_rejected(self, resnet18):
         with pytest.raises(ValueError):
             DesignEvaluator(model=resnet18, platform=EDGE, workers=0)
@@ -213,14 +234,36 @@ class TestVectorEngineParity:
         genomes[1].levels[0].order[0] = genomes[1].levels[0].order[1]
         with pytest.raises(ValueError):
             [fast.evaluate_genome(genome) for genome in genomes]
-        with pytest.raises(ValueError):
+        # The message names only the broken level's order.
+        broken = ", ".join(
+            str(DIM_INDEX[dim]) for dim in genomes[1].levels[0].order
+        )
+        with pytest.raises(ValueError, match=rf"permutation.*[\[(]{broken}[\])]$"):
             vector.evaluate_population(genomes)
+
+    def test_sub_one_genes_price_like_the_scalar_path(self, resnet18):
+        # Unrepaired spatial and tile genes below 1 count as 1, exactly as
+        # Genome.cache_key clamps them on the per-genome path.
+        vector = DesignEvaluator(model=resnet18, platform=EDGE, engine="vector")
+        fast = DesignEvaluator(model=resnet18, platform=EDGE, engine="fast")
+        _, genomes = _seeded_genomes(vector, 8, seed=17)
+        for index, genome in enumerate(genomes):
+            level = genome.levels[index % genome.num_levels]
+            level.spatial_size = (0, -4)[index % 2]
+            level.tiles["K"] = (0, -3)[index % 2]
+            level.tiles["X"] = (-3, 0)[index % 2]
+        vector_results = vector.evaluate_population(genomes)
+        fast_results = [fast.evaluate_genome(genome) for genome in genomes]
+        for a, b in zip(vector_results, fast_results):
+            assert a.fitness == b.fitness
+            assert a.latency == b.latency
+            assert a.design.hardware == b.design.hardware
 
     def test_rejects_unknown_engine(self, resnet18):
         with pytest.raises(ValueError):
             DesignEvaluator(model=resnet18, platform=EDGE, engine="warp")
 
-    @pytest.mark.parametrize("optimizer_name", ["digamma", "de", "pso"])
+    @pytest.mark.parametrize("optimizer_name", ["digamma", "de", "pso", "random"])
     def test_search_trajectories_identical_across_engines(
         self, resnet18, optimizer_name
     ):

@@ -120,7 +120,11 @@ class TestMatrixMatchesGenomePath:
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
         _, _, matrix = _repaired_population(evaluator, 9, seed=29)
         matrix.data[4, 2:8] = [0, 0, 2, 3, 4, 5]
-        with pytest.raises(ValueError, match="permutation"):
+        with pytest.raises(
+            ValueError,
+            match=r"^order of level 0 must be a permutation of all dims, "
+            r"got \[0, 0, 2, 3, 4, 5\]$",
+        ):
             evaluator.evaluate_matrix(matrix)
 
 
@@ -186,6 +190,16 @@ class TestRowReuse:
         assert evaluator.layer_cache_stats.hits > layer.hits  # unchanged rows
         repriced = evaluator.cost_model.vector_stats["rows_vectorized"] - priced
         assert 0 < repriced < 10 * len(resnet18.layers)
+
+    def test_population_and_matrix_views_share_design_hits(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
+        _, _, matrix = _repaired_population(evaluator, 12, seed=53)
+        evaluator.evaluate_population(matrix.to_genomes())
+        before = evaluator.design_cache_stats
+        evaluator.evaluate_matrix(matrix)
+        after = evaluator.design_cache_stats
+        assert after.hits - before.hits == 12
+        assert after.misses == before.misses
 
     def test_cache_clear_drops_both_lrus(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)

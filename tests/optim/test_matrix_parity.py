@@ -102,11 +102,15 @@ class TestEngineParity:
         assert got.history == want.history
         assert got.best.fitness == want.best.fitness
 
-    def test_two_level_cache_counters_are_pinned(self, ncf):
+    @pytest.mark.parametrize("use_matrix", [True, False])
+    def test_two_level_cache_counters_are_pinned(self, ncf, use_matrix):
         # The design LRU and the layer LRU are the only reuse between
-        # generations: pin what they resolve on one small default search.
+        # generations: pin what they resolve on one small default search,
+        # through the matrix loop and the per-genome loop alike.
         framework = CoOptimizationFramework(ncf, get_platform("edge"))
-        framework.search(DiGamma(), sampling_budget=600, seed=3)
+        framework.search(
+            DiGamma(use_matrix=use_matrix), sampling_budget=600, seed=3
+        )
         evaluator = framework.evaluator
         design = evaluator.design_cache_stats
         layer = evaluator.layer_cache_stats

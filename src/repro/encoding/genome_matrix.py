@@ -118,11 +118,6 @@ def genome_to_genes(genome: Genome) -> List[int]:
     return genes
 
 
-def genome_to_row(genome: Genome) -> np.ndarray:
-    """Flatten one genome into a gene row (raises on invalid dim names)."""
-    return np.array(genome_to_genes(genome), dtype=np.int64)
-
-
 def row_to_genome(row: np.ndarray, num_levels: int) -> Genome:
     """Rebuild a :class:`Genome` from one gene row."""
     genes = [int(value) for value in row]

@@ -75,11 +75,6 @@ def _init_worker(evaluator: "DesignEvaluator") -> None:
     _WORKER_EVALUATOR = evaluator
 
 
-def _evaluate_in_worker(genome: Genome) -> "EvaluationResult":
-    """Evaluate one genome in a worker process (pool map target)."""
-    return _WORKER_EVALUATOR.evaluate_genome(genome)
-
-
 def _fire_worker_faults() -> None:
     """Chaos hook: let an installed fault plan kill this worker process.
 

@@ -5,12 +5,12 @@ sampling budget.  :class:`SearchTracker` enforces that budget, counts
 evaluations, records the best design point found so far and offers both the
 genome view and the flat-vector view of the encoding, so any algorithm can
 be plugged in without touching the framework.  Population-based algorithms
-should prefer the batched views (:meth:`SearchTracker.evaluate_matrix`,
-:meth:`SearchTracker.evaluate_batch` and
+use the batched views (:meth:`SearchTracker.evaluate_matrix`,
+:meth:`SearchTracker.evaluate_matrix_results` and
 :meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
-generation in one evaluator call on the one gene-matrix pipeline, which
-keeps the memoized evaluation engine hot and lets the evaluator fan the
-work out over worker processes.
+generation in one evaluator call on the one gene-matrix pipeline, under
+every engine, which keeps the memoized evaluation engine hot and lets the
+evaluator fan the work out over worker processes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class SearchTracker:
         #: Number of calls to the batched evaluation views.
         self.batch_calls = 0
         #: Evaluations performed through the batched views (counted once,
-        #: even when a vector batch is routed through the genome batch).
+        #: even when a vector batch is routed through the matrix view).
         self.batched_evaluations = 0
         self.best: Optional[EvaluationResult] = None
         #: (evaluation index, best fitness so far) recorded at every improvement.
@@ -119,64 +119,29 @@ class SearchTracker:
         self._record(result)
         return result.fitness
 
-    def evaluate_batch(self, genomes: Sequence[Genome]) -> List[float]:
-        """Evaluate a population slice in one call; returns its fitnesses.
-
-        Only as many genomes as the remaining budget allows are evaluated
-        (in order), so the returned list may be shorter than the input —
-        callers should stop when that happens.  Results are bit-identical
-        to evaluating the same genomes one by one.
-        """
-        return [result.fitness for result in self.evaluate_batch_results(genomes)]
-
-    def evaluate_batch_results(
-        self, genomes: Sequence[Genome]
-    ) -> List[EvaluationResult]:
-        """Batched view returning full results instead of scalar fitnesses.
-
-        Multi-objective algorithms need the per-objective vectors (and the
-        decoded designs) of a whole generation; this is the same batched
-        fast path as :meth:`evaluate_batch` — one evaluator call, identical
-        budget/bookkeeping semantics — just without collapsing each result
-        to its scalar fitness.
-        """
-        batch = list(genomes)[: self.remaining]
-        repaired = [repaired_copy(genome, self.space) for genome in batch]
-        results = self.evaluator.evaluate_population(repaired)
-        self.batch_calls += 1
-        self.batched_evaluations += len(results)
-        for result in results:
-            self.evaluations += 1
-            self._record(result)
-        return results
-
-    @property
-    def prefers_matrix(self) -> bool:
-        """True when the gene-matrix views hit the native matrix fast path.
-
-        The vector engine prices matrices of any hierarchy depth natively.
-        The scalar engines evaluate matrices by converting back to genomes,
-        so a search loop gains nothing from packing its population —
-        optimizers consult this to keep the per-genome loop under those
-        engines (trajectories are bit-identical either way).
-        """
-        return self.evaluator.engine == "vector"
-
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         """Evaluate a gene-matrix population in one call; returns fitnesses.
 
-        The matrix-native counterpart of :meth:`evaluate_batch` — same
-        budget/truncation semantics, bit-identical fitnesses — fed by the
-        population data path: one vectorized repair pass, the evaluator's
-        fingerprint-keyed design reuse, then the packed vector engine.  No
-        per-member ``Genome`` is constructed.
+        Only as many rows as the remaining budget allows are evaluated (in
+        order), so the returned list may be shorter than the input —
+        callers should stop when that happens.  Fitnesses are bit-identical
+        to evaluating the same genomes one by one with
+        :meth:`evaluate_genome`.  Rows take the population data path: one
+        vectorized repair pass, the evaluator's fingerprint-keyed design
+        reuse, then the packed vector engine (the scalar engines price the
+        rows as genomes).
         """
         return [result.fitness for result in self.evaluate_matrix_results(matrix)]
 
     def evaluate_matrix_results(
         self, matrix: GenomeMatrix
     ) -> List[EvaluationResult]:
-        """Gene-matrix view returning full results (multi-objective loops)."""
+        """Gene-matrix view returning full results instead of fitnesses.
+
+        Multi-objective loops need the per-objective vectors (and the
+        decoded designs) of a whole generation; budget and bookkeeping
+        semantics are those of :meth:`evaluate_matrix`.
+        """
         batch = matrix.truncated(min(len(matrix), self.remaining))
         if len(batch) == 0:
             self.batch_calls += 1
@@ -193,7 +158,7 @@ class SearchTracker:
     def evaluate_vector_batch(self, vectors: Sequence[np.ndarray]) -> List[float]:
         """Evaluate a batch of flat vectors; returns their fitnesses.
 
-        Budget semantics match :meth:`evaluate_batch` (truncated to the
+        Budget semantics match :meth:`evaluate_matrix` (truncated to the
         remaining budget).  Vectors decode straight into gene-matrix rows —
         one decoded gene row per vector, no intermediate ``Genome`` — and
         ride the same population data path as :meth:`evaluate_matrix`.

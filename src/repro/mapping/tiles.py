@@ -79,11 +79,6 @@ class BufferRequirement:
     l2_bytes: int
     l1_bytes_per_pe: int
 
-    @property
-    def total_l2_bytes(self) -> int:
-        """Shared on-chip buffer requirement (all non-innermost levels)."""
-        return self.l2_bytes
-
 
 def buffer_requirements(
     layer: Layer,

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import abc
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.encoding.genome import Genome
 from repro.framework.search import SearchTracker
 
 
@@ -48,81 +46,14 @@ def resume_state(
     return state
 
 
-def reject_resume(tracker: SearchTracker) -> None:
-    """Fail loudly when restored loop state reaches a non-resumable loop.
-
-    A checkpoint restore also rewinds the tracker's budget counters, so a
-    loop that cannot consume the optimizer state must not quietly run
-    "fresh" on a half-spent tracker — that would end anywhere but the
-    uninterrupted trajectory.  Only a configuration change between the
-    checkpointed run and its resume (e.g. a different engine flipping an
-    optimizer off its matrix path) can get here.
-    """
-    if getattr(tracker, "resume_state", None) is not None:
-        raise ValueError(
-            "a checkpoint was restored but this search configuration "
-            "cannot resume it; rerun the original configuration or clear "
-            "the checkpoint directory"
-        )
-
-
-def warn_checkpoints_skipped(tracker: SearchTracker, loop: str) -> None:
-    """Warn once per search that a per-genome loop ignores checkpointing.
-
-    The per-genome loops (taken under the scalar engines and by tracker
-    stubs without the matrix view) announce no generation boundaries, so
-    an attached checkpoint session would otherwise do nothing silently:
-    no checkpoint is written and interrupts are never polled.
-    """
-    if getattr(tracker, "checkpoint_session", None) is not None:
-        warnings.warn(
-            f"{loop} runs its per-genome loop in this configuration (a "
-            "scalar engine or a tracker without the gene-matrix view); it "
-            "writes no checkpoints and does not poll interrupts, so "
-            "checkpoint_dir and checkpoint_every have no effect",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def evaluate_genomes(tracker: SearchTracker, genomes: Sequence[Genome]) -> List[float]:
-    """Score a population through the tracker's batched view.
-
-    Falls back to one-by-one evaluation for tracker stubs without a batch
-    API.  Either way the returned list is truncated when the sampling
-    budget runs out mid-population; callers should stop in that case.
-    """
-    batch = getattr(tracker, "evaluate_batch", None)
-    if batch is not None:
-        return batch(genomes)
-    fitnesses: List[float] = []
-    for genome in genomes:
-        if tracker.exhausted:
-            break
-        fitnesses.append(tracker.evaluate_genome(genome))
-    return fitnesses
-
-
-def evaluate_vectors(
-    tracker: SearchTracker, vectors: Sequence[np.ndarray]
-) -> List[float]:
-    """Vector-view counterpart of :func:`evaluate_genomes`."""
-    batch = getattr(tracker, "evaluate_vector_batch", None)
-    if batch is not None:
-        return batch(vectors)
-    fitnesses: List[float] = []
-    for vector in vectors:
-        if tracker.exhausted:
-            break
-        fitnesses.append(tracker.evaluate_vector(vector))
-    return fitnesses
-
-
 class Optimizer(abc.ABC):
     """Base class for optimization algorithms.
 
-    An optimizer spends the tracker's sampling budget by calling
-    ``tracker.evaluate_genome`` or ``tracker.evaluate_vector``; the tracker
+    An optimizer spends the tracker's sampling budget through its batched
+    views (``tracker.evaluate_matrix``, ``evaluate_matrix_results`` or
+    ``evaluate_vector_batch``, which return fewer results than asked for
+    once the budget runs out) or one candidate at a time
+    (``tracker.evaluate_genome`` / ``evaluate_vector``); the tracker
     records the best design point, so ``run`` does not return anything.
     Implementations should stop when ``tracker.exhausted`` becomes true;
     evaluating past the budget raises

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.search import SearchTracker
-from repro.optim.base import (
-    Optimizer,
-    checkpoint_generation,
-    evaluate_vectors,
-    resume_state,
-)
+from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 
 
 class DifferentialEvolution(Optimizer):
@@ -55,7 +50,7 @@ class DifferentialEvolution(Optimizer):
         else:
             population = rng.random((self.population_size, dimension))
             fitness = np.asarray(
-                evaluate_vectors(tracker, list(population)), dtype=float
+                tracker.evaluate_vector_batch(list(population)), dtype=float
             )
             if fitness.size < self.population_size:
                 return
@@ -82,7 +77,7 @@ class DifferentialEvolution(Optimizer):
                 cross[rng.integers(dimension)] = True
                 trials[index] = np.where(cross, mutant, population[index])
 
-            trial_fitness = evaluate_vectors(tracker, list(trials))
+            trial_fitness = tracker.evaluate_vector_batch(list(trials))
             for index, value in enumerate(trial_fitness):
                 if value >= fitness[index]:
                     population[index] = trials[index]

@@ -15,17 +15,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.encoding.genome import Genome
 from repro.encoding.genome_matrix import GenomeMatrix, genome_to_genes
 from repro.framework.search import SearchTracker
-from repro.optim.base import (
-    Optimizer,
-    checkpoint_generation,
-    evaluate_genomes,
-    reject_resume,
-    resume_state,
-    warn_checkpoints_skipped,
-)
+from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 from repro.optim.digamma import operators
 
 
@@ -78,6 +70,14 @@ class DiGammaHyperParameters:
 class DiGamma(Optimizer):
     """Domain-aware genetic algorithm for HW-Mapping co-optimization.
 
+    The population lives in a
+    :class:`~repro.encoding.genome_matrix.GenomeMatrix`: each generation
+    keeps the elites, adds a few random immigrants and breeds the rest
+    with the ``*_row`` operators of :mod:`repro.optim.digamma.operators`,
+    then prices the whole matrix in one ``tracker.evaluate_matrix`` call.
+    The loop runs under every engine and hierarchy depth and checkpoints
+    at each generation boundary.
+
     Parameters
     ----------
     hyper_parameters:
@@ -92,16 +92,6 @@ class DiGamma(Optimizer):
         Fraction of the initial population drawn from the domain-informed
         sampler (:func:`repro.optim.digamma.operators.seeded_genome`)
         instead of the uniform random sampler.
-    use_matrix:
-        When True (default) and the tracker prefers the gene-matrix view
-        (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`: the
-        vector engine, at any hierarchy depth), the generation loop keeps
-        the population as a
-        :class:`~repro.encoding.genome_matrix.GenomeMatrix` and applies the
-        row-twin operators — same RNG stream, same fitnesses, no per-member
-        ``Genome`` allocation.  The scalar engines, custom trackers without
-        the matrix view and ``use_matrix=False`` (kept for the parity
-        tests) take the per-genome loop.
     """
 
     name = "DiGamma"
@@ -113,7 +103,6 @@ class DiGamma(Optimizer):
         use_hw_operators: bool = True,
         use_structured_operators: bool = True,
         seeded_fraction: float = 0.5,
-        use_matrix: bool = True,
     ):
         if not 0.0 <= seeded_fraction <= 1.0:
             raise ValueError("seeded_fraction must be in [0, 1]")
@@ -123,27 +112,10 @@ class DiGamma(Optimizer):
         self.use_hw_operators = use_hw_operators
         self.use_structured_operators = use_structured_operators
         self.seeded_fraction = seeded_fraction
-        self.use_matrix = use_matrix
 
     # -- GA loop -------------------------------------------------------------
 
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        if (
-            self.use_matrix
-            and getattr(tracker, "evaluate_matrix", None) is not None
-            and getattr(tracker, "prefers_matrix", True)
-        ):
-            return self._run_matrix(tracker, rng)
-        return self._run_genomes(tracker, rng)
-
-    def _initial_population(self, space, population_size, rng) -> List[Genome]:
-        """Seeded + random starting genomes (shared by both loop forms)."""
-        return operators.initial_population(
-            space, population_size, self.seeded_fraction, rng
-        )
-
-    def _run_matrix(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The gene-matrix generation loop (bit-identical trajectories)."""
         params = self.hyper_parameters
         space = tracker.space
         population_size = params.resolved_population(tracker.sampling_budget)
@@ -160,7 +132,9 @@ class DiGamma(Optimizer):
             fitnesses = [float(value) for value in state["fitnesses"]]
         else:
             population = GenomeMatrix.from_genomes(
-                self._initial_population(space, population_size, rng)
+                operators.initial_population(
+                    space, population_size, self.seeded_fraction, rng
+                )
             )
             num_levels = population.num_levels
             fitnesses = tracker.evaluate_matrix(population)
@@ -196,64 +170,7 @@ class DiGamma(Optimizer):
             if len(fitnesses) < len(population):
                 return
 
-    def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The per-genome loop (scalar engines, trackers without the matrix
-        view, ``use_matrix=False``; pinned against the matrix loop by the
-        trajectory-parity tests).  Not checkpointable: it warns when a
-        checkpoint session is attached, and resuming a checkpoint written
-        by the matrix loop is rejected loudly rather than silently
-        restarted."""
-        reject_resume(tracker)
-        warn_checkpoints_skipped(tracker, self.name)
-        params = self.hyper_parameters
-        space = tracker.space
-        population_size = params.resolved_population(tracker.sampling_budget)
-        num_elites = max(1, int(population_size * params.elite_ratio))
-        num_immigrants = int(population_size * params.immigration_ratio)
-
-        population = self._initial_population(space, population_size, rng)
-        fitnesses: List[float] = evaluate_genomes(tracker, population)
-        if len(fitnesses) < len(population):
-            return
-
-        while not tracker.exhausted:
-            order = list(np.argsort(fitnesses)[::-1])
-            elites = [population[i].copy() for i in order[:num_elites]]
-            parent_pool = [population[i] for i in order[: max(2, population_size // 2)]]
-
-            children: List[Genome] = [elite.copy() for elite in elites]
-            for _ in range(num_immigrants):
-                children.append(space.random_genome(rng))
-            while len(children) < population_size:
-                children.append(self._make_child(parent_pool, space, rng))
-
-            population = children
-            fitnesses = evaluate_genomes(tracker, population)
-            if len(fitnesses) < len(population):
-                return
-
     # -- reproduction ----------------------------------------------------------
-
-    def _make_child(self, parent_pool, space, rng: np.random.Generator) -> Genome:
-        params = self.hyper_parameters
-        parent_a = parent_pool[int(rng.integers(len(parent_pool)))]
-        parent_b = parent_pool[int(rng.integers(len(parent_pool)))]
-
-        if rng.random() < params.crossover_rate:
-            child = operators.crossover(parent_a, parent_b, rng)
-        else:
-            child = parent_a.copy()
-
-        if self.use_structured_operators:
-            if rng.random() < params.reorder_rate:
-                child = operators.reorder(child, rng)
-            if rng.random() < params.grow_rate:
-                child = operators.grow(child, space, rng)
-            if rng.random() < params.mutate_map_rate:
-                child = operators.mutate_map(child, space, rng)
-        if self.use_hw_operators and rng.random() < params.mutate_hw_rate:
-            child = operators.mutate_hw(child, space, rng)
-        return child
 
     def _make_child_row(
         self,
@@ -262,7 +179,7 @@ class DiGamma(Optimizer):
         num_levels: int,
         rng: np.random.Generator,
     ) -> List[int]:
-        """Row twin of :meth:`_make_child` (identical RNG stream)."""
+        """Breed one child row: crossover, then each enabled operator at its rate."""
         params = self.hyper_parameters
         parent_a = pool[int(rng.integers(len(pool)))]
         parent_b = pool[int(rng.integers(len(pool)))]

@@ -3,28 +3,32 @@
 Each operator perturbs a specific slice of the HW-Mapping design space in a
 structured way instead of re-randomising genes blindly:
 
-=============  ===========================================================
-``crossover``  blends tiling / parallelism (and therefore derived buffer
-               sizing) between two parents, level by level
-``reorder``    permutes the loop order of one level (compute order)
-``grow``       doubles or halves one tile size ("grow / aging"), walking
-               the tiling-and-buffer trade-off smoothly
-``mutate_map`` re-samples mapping genes: a tile size (preferring divisors
-               of the dimension extent) or the parallel dimension
-``mutate_hw``  re-sizes or re-shapes the PE array while respecting the
-               platform's maximum PE count, which in turn re-balances the
-               derived buffer allocation
-=============  ===========================================================
+==================  ======================================================
+``crossover_rows``  blends tiling / parallelism (and therefore derived
+                    buffer sizing) between two parents, level by level
+``reorder_row``     permutes the loop order of one level (compute order)
+``grow_row``        doubles or halves one tile size ("grow / aging"),
+                    walking the tiling-and-buffer trade-off smoothly
+``mutate_map_row``  re-samples mapping genes: a tile size (preferring
+                    divisors of the dimension extent) or the parallel
+                    dimension
+``mutate_hw_row``   re-sizes or re-shapes the PE array while respecting
+                    the platform's maximum PE count, which in turn
+                    re-balances the derived buffer allocation
+==================  ======================================================
 
-All operators work in place on genome copies and are followed by
-:func:`repro.encoding.repair.repair_genome` in the algorithm loop.
+The operators edit one :class:`~repro.encoding.genome_matrix.GenomeMatrix`
+row, held as a plain Python list of ints (a ``tolist``'ed row): list
+indexing is several times cheaper than NumPy scalar indexing at this
+width, and a generation's children fold back into the matrix with one
+``np.array`` call.  All but ``crossover_rows`` work in place; the tracker
+repairs every matrix it prices
+(:func:`repro.encoding.genome_matrix.repaired_matrix`).  Their draw
+order is part of the pinned search trajectories
+(``tests/optim/test_loop_goldens.py``).
 
-Each operator also has a gene-matrix-native ``*_row`` twin operating on one
-:class:`~repro.encoding.genome_matrix.GenomeMatrix` row in place.  The row
-twins draw from the RNG in *exactly* the same order with *exactly* the same
-calls, so a search loop switching between the genome and row forms follows
-a bit-identical trajectory (pinned by ``tests/optim/test_matrix_parity.py``)
-— the row forms just skip the per-member ``Genome``/dict/list churn.
+The initial population is sampled as genomes (:func:`seeded_genome`,
+:func:`initial_population`, :func:`balance_parallel`) and packed once.
 """
 
 from __future__ import annotations
@@ -36,131 +40,6 @@ import numpy as np
 from repro.encoding.genome import Genome, GenomeSpace, log_uniform_int
 from repro.encoding.genome_matrix import LEVEL_WIDTH
 from repro.workloads.dims import DIMS
-
-
-def crossover(parent_a: Genome, parent_b: Genome, rng: np.random.Generator) -> Genome:
-    """Blend mapping genes of two parents, level by level.
-
-    Tile sizes are inherited gene-wise from either parent; the parallel
-    dimension is inherited per level.  Loop order and HW genes stay with the
-    first parent (they have dedicated operators), so crossover explores the
-    tiling/parallelism sub-space without scrambling the rest — the
-    structured behaviour adapted from GAMMA.
-    """
-    child = parent_a.copy()
-    # One batched draw per child: Generator.random(n) yields the same
-    # stream as n scalar draws, so trajectories are unchanged while the
-    # per-call overhead is paid once.
-    draws = rng.random(7 * min(len(child.levels), len(parent_b.levels)))
-    cursor = 0
-    for level, other in zip(child.levels, parent_b.levels):
-        for dim in DIMS:
-            if draws[cursor] < 0.5:
-                level.tiles[dim] = other.tiles[dim]
-            cursor += 1
-        if draws[cursor] < 0.5:
-            level.parallel_dim = other.parallel_dim
-        cursor += 1
-    return child
-
-
-def reorder(genome: Genome, rng: np.random.Generator) -> Genome:
-    """Perturb the compute order of one randomly chosen level.
-
-    With equal probability either two loop positions are swapped (a local
-    move) or one loop is popped and re-inserted elsewhere (a rotation),
-    which is how GAMMA steps through the order space.
-    """
-    level = genome.levels[int(rng.integers(genome.num_levels))]
-    order: List[str] = list(level.order)
-    if rng.random() < 0.5:
-        i, j = rng.choice(len(order), size=2, replace=False)
-        order[i], order[j] = order[j], order[i]
-    else:
-        source = int(rng.integers(len(order)))
-        dim = order.pop(source)
-        target = int(rng.integers(len(order) + 1))
-        order.insert(target, dim)
-    level.order = order
-    return genome
-
-
-def grow(genome: Genome, space: GenomeSpace, rng: np.random.Generator) -> Genome:
-    """Grow or age (shrink) one tile size by a factor of two.
-
-    Doubling a tile grows the derived buffer allocation and data reuse;
-    halving ("aging") releases buffer area back to the budget.  Moving by
-    factors of two walks the trade-off smoothly instead of jumping to an
-    arbitrary value.
-    """
-    level = genome.levels[int(rng.integers(genome.num_levels))]
-    # Indexing with integers() draws the same stream as rng.choice at a
-    # fraction of the per-call cost (see the operator-parity tests).
-    dim = DIMS[rng.integers(len(DIMS))]
-    bound = space.dim_bounds[dim]
-    if rng.random() < 0.5:
-        level.tiles[dim] = min(bound, max(1, level.tiles[dim]) * 2)
-    else:
-        level.tiles[dim] = max(1, level.tiles[dim] // 2)
-    return genome
-
-
-def mutate_map(genome: Genome, space: GenomeSpace, rng: np.random.Generator) -> Genome:
-    """Re-sample one mapping gene of one level.
-
-    Tile sizes are re-sampled preferring divisors of the dimension bound
-    (divisible tiles avoid padding waste); alternatively the parallel
-    dimension is re-drawn, biased towards dimensions that are actually
-    large enough to fill the level's spatial fan-out.  Occasionally the
-    parallel tiles are re-balanced against the spatial sizes (see
-    :func:`balance_parallel`).
-    """
-    level = genome.levels[int(rng.integers(genome.num_levels))]
-    choice = rng.random()
-    if choice < 0.6:
-        dim = DIMS[rng.integers(len(DIMS))]
-        bound = space.dim_bounds[dim]
-        level.tiles[dim] = _sample_tile(bound, rng)
-    elif choice < 0.85:
-        level.parallel_dim = _sample_parallel_dim(level.spatial_size, space, rng)
-    else:
-        balance_parallel(genome, space)
-    return genome
-
-
-def mutate_hw(genome: Genome, space: GenomeSpace, rng: np.random.Generator) -> Genome:
-    """Perturb the PE array size or aspect ratio (the HW genes).
-
-    Either the total PE count is re-sampled within the platform's bound
-    (biased towards budget-filling sizes — idle budget is wasted budget), or
-    a factor of two is transferred between two levels (re-shaping the array
-    at a constant PE count).  The parallel-dimension tiles are re-balanced
-    afterwards so the new array stays spatially utilised: this is the
-    "HW exploration respects the HW-mapping interaction" property of
-    Sec. IV-C.  Because buffers are allocated from the mapping's
-    requirement, the operator also re-balances the compute-to-memory area
-    split.
-    """
-    if space.hw_is_fixed:
-        return genome
-    if rng.random() < 0.5 or genome.num_levels == 1:
-        if rng.random() < 0.5:
-            # Explore the full range of PE counts.
-            total = log_uniform_int(rng, 1, space.max_pes)
-        else:
-            # Exploit the upper half of the budget, where strong designs live.
-            total = int(rng.integers(max(1, space.max_pes // 4), space.max_pes + 1))
-        _split_pes(genome, total, rng)
-    else:
-        indices = rng.choice(genome.num_levels, size=2, replace=False)
-        giver = genome.levels[int(indices[0])]
-        taker = genome.levels[int(indices[1])]
-        if giver.spatial_size >= 2:
-            giver.spatial_size = max(1, giver.spatial_size // 2)
-            taker.spatial_size = max(1, taker.spatial_size * 2)
-    if rng.random() < 0.75:
-        balance_parallel(genome, space)
-    return genome
 
 
 def seeded_genome(space: GenomeSpace, rng: np.random.Generator) -> Genome:
@@ -228,12 +107,7 @@ def balance_parallel(genome: Genome, space: GenomeSpace) -> Genome:
     return genome
 
 
-# -- gene-matrix row twins --------------------------------------------------
-#
-# Rows are plain Python lists of ints (one GenomeMatrix row, tolist'ed):
-# list indexing is several times cheaper than NumPy scalar indexing at this
-# width, and a generation's children fold back into the matrix with one
-# np.array call.
+# -- operators on gene rows ------------------------------------------------
 
 
 def crossover_rows(
@@ -242,8 +116,17 @@ def crossover_rows(
     num_levels: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Row twin of :func:`crossover`: returns a new child row."""
+    """Blend mapping genes of two parents, level by level; returns a new row.
+
+    Tile sizes are inherited gene-wise from either parent; the parallel
+    dimension is inherited per level.  Loop order and HW genes stay with the
+    first parent (they have dedicated operators), so crossover explores the
+    tiling/parallelism sub-space without scrambling the rest — the
+    structured behaviour adapted from GAMMA.
+    """
     child = parent_a.copy()
+    # One batched draw per child: Generator.random(n) yields the same
+    # stream as n scalar draws, at the per-call overhead of one.
     draws = rng.random(7 * num_levels).tolist()
     cursor = 0
     for level in range(num_levels):
@@ -261,7 +144,12 @@ def crossover_rows(
 def reorder_row(
     row: List[int], num_levels: int, rng: np.random.Generator
 ) -> List[int]:
-    """Row twin of :func:`reorder` (in place)."""
+    """Perturb the compute order of one randomly chosen level (in place).
+
+    With equal probability either two loop positions are swapped (a local
+    move) or one loop is popped and re-inserted elsewhere (a rotation),
+    which is how GAMMA steps through the order space.
+    """
     base = int(rng.integers(num_levels)) * LEVEL_WIDTH
     if rng.random() < 0.5:
         i, j = rng.choice(6, size=2, replace=False)
@@ -284,7 +172,13 @@ def grow_row(
     num_levels: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Row twin of :func:`grow` (in place)."""
+    """Grow or age (shrink) one tile size by a factor of two (in place).
+
+    Doubling a tile grows the derived buffer allocation and data reuse;
+    halving ("aging") releases buffer area back to the budget.  Moving by
+    factors of two walks the trade-off smoothly instead of jumping to an
+    arbitrary value.
+    """
     base = int(rng.integers(num_levels)) * LEVEL_WIDTH
     dim_index = int(rng.integers(len(DIMS)))
     bound = space.dim_bounds[DIMS[dim_index]]
@@ -302,7 +196,15 @@ def mutate_map_row(
     num_levels: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Row twin of :func:`mutate_map` (in place)."""
+    """Re-sample one mapping gene of one level (in place).
+
+    Tile sizes are re-sampled preferring divisors of the dimension bound
+    (divisible tiles avoid padding waste); alternatively the parallel
+    dimension is re-drawn, biased towards dimensions that are actually
+    large enough to fill the level's spatial fan-out.  Occasionally the
+    parallel tiles are re-balanced against the spatial sizes (see
+    :func:`balance_parallel_row`).
+    """
     base = int(rng.integers(num_levels)) * LEVEL_WIDTH
     choice = rng.random()
     if choice < 0.6:
@@ -322,13 +224,26 @@ def mutate_hw_row(
     num_levels: int,
     rng: np.random.Generator,
 ) -> List[int]:
-    """Row twin of :func:`mutate_hw` (in place)."""
+    """Perturb the PE array size or aspect ratio, the HW genes (in place).
+
+    Either the total PE count is re-sampled within the platform's bound
+    (biased towards budget-filling sizes — idle budget is wasted budget), or
+    a factor of two is transferred between two levels (re-shaping the array
+    at a constant PE count).  The parallel-dimension tiles are re-balanced
+    afterwards so the new array stays spatially utilised: this is the
+    "HW exploration respects the HW-mapping interaction" property of
+    Sec. IV-C.  Because buffers are allocated from the mapping's
+    requirement, the operator also re-balances the compute-to-memory area
+    split.
+    """
     if space.hw_is_fixed:
         return row
     if rng.random() < 0.5 or num_levels == 1:
         if rng.random() < 0.5:
+            # Explore the full range of PE counts.
             total = log_uniform_int(rng, 1, space.max_pes)
         else:
+            # Exploit the upper half of the budget, where strong designs live.
             total = int(rng.integers(max(1, space.max_pes // 4), space.max_pes + 1))
         _split_pes_row(row, num_levels, total, rng)
     else:
@@ -344,7 +259,7 @@ def mutate_hw_row(
 
 
 def balance_parallel_row(row: List[int], num_levels: int) -> List[int]:
-    """Row twin of :func:`balance_parallel` (in place, draws nothing)."""
+    """:func:`balance_parallel` on a gene row (in place, draws nothing)."""
     for level in range(num_levels):
         base = level * LEVEL_WIDTH
         row[base + 8 + row[base + 1]] = 1
@@ -377,24 +292,12 @@ def _sample_tile(bound: int, rng: np.random.Generator) -> int:
     return log_uniform_int(rng, 1, bound)
 
 
-def _sample_parallel_dim(
-    spatial_size: int,
-    space: GenomeSpace,
-    rng: np.random.Generator,
-) -> str:
-    """Pick a parallel dimension, biased towards ones that can fill the array."""
-    candidates = [dim for dim in DIMS if space.dim_bounds[dim] >= max(2, spatial_size // 2)]
-    if candidates and rng.random() < 0.8:
-        return candidates[rng.integers(len(candidates))]
-    return DIMS[rng.integers(len(DIMS))]
-
-
 def _sample_parallel_index(
     spatial_size: int,
     space: GenomeSpace,
     rng: np.random.Generator,
 ) -> int:
-    """Index twin of :func:`_sample_parallel_dim` (identical draws)."""
+    """Pick a parallel dimension index, biased towards ones that can fill the array."""
     candidates = [
         index
         for index, dim in enumerate(DIMS)
@@ -408,29 +311,15 @@ def _sample_parallel_index(
 def _split_pes_row(
     row: List[int], num_levels: int, total: int, rng: np.random.Generator
 ) -> None:
-    """Row twin of :func:`_split_pes` (identical draws)."""
+    """Distribute ``total`` PEs across the row's levels as a random split."""
     remaining = max(1, total)
     for index in range(num_levels):
         levels_left = num_levels - index
         if levels_left == 1:
             row[index * LEVEL_WIDTH] = remaining
             break
-        share = log_uniform_int(rng, 1, max(1, remaining))
-        row[index * LEVEL_WIDTH] = share
-        remaining = max(1, remaining // share)
-
-
-def _split_pes(genome: Genome, total: int, rng: np.random.Generator) -> None:
-    """Distribute ``total`` PEs across the genome's levels as a random split."""
-    remaining = max(1, total)
-    for index, level in enumerate(genome.levels):
-        levels_left = genome.num_levels - index
-        if levels_left == 1:
-            level.spatial_size = remaining
-            break
         # Sample this level's share in log space so both tall and wide
         # aspect ratios are reachable.
-        upper = max(1, remaining)
-        share = log_uniform_int(rng, 1, upper)
-        level.spatial_size = share
+        share = log_uniform_int(rng, 1, max(1, remaining))
+        row[index * LEVEL_WIDTH] = share
         remaining = max(1, remaining // share)

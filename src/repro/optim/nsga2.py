@@ -10,11 +10,14 @@ tracker archives every valid evaluation, while NSGA-II's selection spreads
 the sampling budget across the front instead of collapsing onto a single
 scalarized optimum.
 
-Evaluation goes exclusively through the tracker's batched results views
-(:meth:`~repro.framework.search.SearchTracker.evaluate_matrix_results`, or
-:meth:`~repro.framework.search.SearchTracker.evaluate_batch_results` on
-the per-genome loop): whole generations are priced in one call, exactly
-like the single-objective population algorithms.
+The population lives in a
+:class:`~repro.encoding.genome_matrix.GenomeMatrix` bred with DiGamma's
+``*_row`` operators, and evaluation goes exclusively through the tracker's
+batched results view
+(:meth:`~repro.framework.search.SearchTracker.evaluate_matrix_results`):
+whole generations are priced in one call, exactly like the
+single-objective population algorithms.  The loop runs under every engine
+and hierarchy depth and checkpoints at each generation boundary.
 
 Run without an objective set, each evaluation's ranking vector degrades to
 the scalar objective value, turning NSGA-II into a plain elitist GA — so
@@ -28,18 +31,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.encoding.genome import Genome
 from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.evaluator import EvaluationResult
 from repro.framework.pareto import crowding_distances, fast_non_dominated_sort
 from repro.framework.search import SearchTracker
-from repro.optim.base import (
-    Optimizer,
-    checkpoint_generation,
-    reject_resume,
-    resume_state,
-    warn_checkpoints_skipped,
-)
+from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 from repro.optim.digamma import operators
 
 
@@ -98,14 +94,6 @@ class NSGA2(Optimizer):
         Fraction of the initial population drawn from the domain-informed
         sampler instead of the uniform random sampler (same prior as
         DiGamma: budget-filling PE arrays, large parallel dimensions).
-    use_matrix:
-        When True (default) and the tracker prefers the gene-matrix view
-        (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`: the
-        vector engine, at any hierarchy depth), the generation loop runs
-        on :class:`~repro.encoding.genome_matrix.GenomeMatrix` rows with
-        the row-twin operators — same RNG stream, same fronts.  The scalar
-        engines, trackers without the matrix view and ``use_matrix=False``
-        (kept for the parity tests) take the per-genome loop.
     """
 
     name = "NSGA-II"
@@ -115,7 +103,6 @@ class NSGA2(Optimizer):
         self,
         hyper_parameters: Optional[NSGA2HyperParameters] = None,
         seeded_fraction: float = 0.5,
-        use_matrix: bool = True,
     ):
         if not 0.0 <= seeded_fraction <= 1.0:
             raise ValueError("seeded_fraction must be in [0, 1]")
@@ -123,23 +110,6 @@ class NSGA2(Optimizer):
             hyper_parameters if hyper_parameters is not None else NSGA2HyperParameters()
         )
         self.seeded_fraction = seeded_fraction
-        self.use_matrix = use_matrix
-
-    # -- the NSGA-II loop ---------------------------------------------------
-
-    def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        if (
-            self.use_matrix
-            and getattr(tracker, "evaluate_matrix_results", None) is not None
-            and getattr(tracker, "prefers_matrix", True)
-        ):
-            return self._run_matrix(tracker, rng)
-        return self._run_genomes(tracker, rng)
-
-    def _initial_population(self, space, population_size, rng) -> List[Genome]:
-        return operators.initial_population(
-            space, population_size, self.seeded_fraction, rng
-        )
 
     def _num_objectives(self, tracker) -> int:
         objectives = getattr(
@@ -147,8 +117,9 @@ class NSGA2(Optimizer):
         )
         return len(objectives) if objectives is not None else 1
 
-    def _run_matrix(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """Gene-matrix generation loop (bit-identical trajectories)."""
+    # -- the NSGA-II loop ---------------------------------------------------
+
+    def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
         params = self.hyper_parameters
         space = tracker.space
         population_size = params.resolved_population(tracker.sampling_budget)
@@ -164,7 +135,9 @@ class NSGA2(Optimizer):
             ]
         else:
             population = GenomeMatrix.from_genomes(
-                self._initial_population(space, population_size, rng)
+                operators.initial_population(
+                    space, population_size, self.seeded_fraction, rng
+                )
             )
             num_levels = population.num_levels
             rows = population.data.tolist()
@@ -211,54 +184,6 @@ class NSGA2(Optimizer):
                 combined_values, population_size
             )
             rows = [combined_rows[i] for i in survivors]
-            values = [combined_values[i] for i in survivors]
-
-    def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The per-genome loop (scalar engines, trackers without the matrix
-        view, ``use_matrix=False``; pinned against the matrix loop by the
-        trajectory-parity tests).  Not checkpointable: it warns when a
-        checkpoint session is attached and rejects restored state."""
-        reject_resume(tracker)
-        warn_checkpoints_skipped(tracker, self.name)
-        evaluate = getattr(tracker, "evaluate_batch_results", None)
-        if evaluate is None:
-            raise TypeError(
-                "NSGA-II requires a tracker with the batched results view "
-                "(SearchTracker.evaluate_batch_results); scalar-only "
-                "tracker stubs cannot drive a multi-objective search"
-            )
-        params = self.hyper_parameters
-        space = tracker.space
-        population_size = params.resolved_population(tracker.sampling_budget)
-        num_objectives = self._num_objectives(tracker)
-
-        population = self._initial_population(space, population_size, rng)
-        results = evaluate(population)
-        if len(results) < len(population):
-            return
-        values = [self._ranking_vector(result, num_objectives) for result in results]
-
-        while not tracker.exhausted:
-            ranks, crowding = self._rank(values)
-            children = [
-                self._make_child(population, values, ranks, crowding, space, rng)
-                for _ in range(population_size)
-            ]
-            child_results = evaluate(children)
-            if len(child_results) < len(children):
-                return  # budget ran out mid-generation; tracker has the rest
-
-            combined_population = population + children
-            combined_results = results + child_results
-            combined_values = values + [
-                self._ranking_vector(result, num_objectives)
-                for result in child_results
-            ]
-            survivors = self._environmental_selection(
-                combined_values, population_size
-            )
-            population = [combined_population[i] for i in survivors]
-            results = [combined_results[i] for i in survivors]
             values = [combined_values[i] for i in survivors]
 
     # -- selection ----------------------------------------------------------
@@ -309,38 +234,6 @@ class NSGA2(Optimizer):
             return int(a if ranks[a] < ranks[b] else b)
         return int(a if crowding[a] >= crowding[b] else b)
 
-    def _make_child(
-        self,
-        population: List[Genome],
-        values: List[Tuple[float, ...]],
-        ranks: np.ndarray,
-        crowding: np.ndarray,
-        space,
-        rng: np.random.Generator,
-    ) -> Genome:
-        params = self.hyper_parameters
-        if rng.random() < params.extreme_bias:
-            axis = int(rng.integers(len(values[0])))
-            extreme = min(range(len(values)), key=lambda i: values[i][axis])
-            parent_a = population[extreme]
-        else:
-            parent_a = population[self._tournament(ranks, crowding, rng)]
-        parent_b = population[self._tournament(ranks, crowding, rng)]
-
-        if rng.random() < params.crossover_rate:
-            child = operators.crossover(parent_a, parent_b, rng)
-        else:
-            child = parent_a.copy()
-        if rng.random() < params.reorder_rate:
-            child = operators.reorder(child, rng)
-        if rng.random() < params.grow_rate:
-            child = operators.grow(child, space, rng)
-        if rng.random() < params.mutate_map_rate:
-            child = operators.mutate_map(child, space, rng)
-        if rng.random() < params.mutate_hw_rate:
-            child = operators.mutate_hw(child, space, rng)
-        return child
-
     def _make_child_row(
         self,
         rows: List[List[int]],
@@ -351,7 +244,7 @@ class NSGA2(Optimizer):
         num_levels: int,
         rng: np.random.Generator,
     ) -> List[int]:
-        """Row twin of :meth:`_make_child` (identical RNG stream)."""
+        """Breed one child row from tournament (or extreme-point) parents."""
         params = self.hyper_parameters
         if rng.random() < params.extreme_bias:
             axis = int(rng.integers(len(values[0])))

@@ -13,10 +13,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.encoding.genome import Genome
-
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.search import SearchTracker
-from repro.optim.base import Optimizer, evaluate_genomes, evaluate_vectors
+from repro.optim.base import Optimizer
 from repro.optim.de import DifferentialEvolution
 from repro.optim.one_plus_one import OnePlusOneES
 from repro.optim.pso import ParticleSwarm
@@ -42,6 +41,8 @@ class _BudgetSlice:
         self.space = tracker.space
         self.codec = tracker.codec
         self.vector_dimension = tracker.vector_dimension
+        # The GAs size their populations from the budget they may spend.
+        self.sampling_budget = allowed
 
     @property
     def exhausted(self) -> bool:
@@ -59,15 +60,27 @@ class _BudgetSlice:
         self._used += 1
         return self._tracker.evaluate_vector(vector)
 
-    def evaluate_batch(self, genomes: Sequence[Genome]) -> List[float]:
-        fitnesses = evaluate_genomes(self._tracker, list(genomes)[: self.remaining])
-        self._used += len(fitnesses)
-        return fitnesses
+    def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
+        return self._charge(
+            self._tracker.evaluate_matrix(self._truncated(matrix))
+        )
+
+    def evaluate_matrix_results(self, matrix: GenomeMatrix) -> list:
+        return self._charge(
+            self._tracker.evaluate_matrix_results(self._truncated(matrix))
+        )
 
     def evaluate_vector_batch(self, vectors: Sequence[np.ndarray]) -> List[float]:
-        fitnesses = evaluate_vectors(self._tracker, list(vectors)[: self.remaining])
-        self._used += len(fitnesses)
-        return fitnesses
+        return self._charge(
+            self._tracker.evaluate_vector_batch(list(vectors)[: self.remaining])
+        )
+
+    def _truncated(self, matrix: GenomeMatrix) -> GenomeMatrix:
+        return matrix.truncated(min(len(matrix), self.remaining))
+
+    def _charge(self, results: list) -> list:
+        self._used += len(results)
+        return results
 
 
 class PassivePortfolio(Optimizer):

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.search import SearchTracker
-from repro.optim.base import (
-    Optimizer,
-    checkpoint_generation,
-    evaluate_vectors,
-    resume_state,
-)
+from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 
 
 class ParticleSwarm(Optimizer):
@@ -62,7 +57,7 @@ class ParticleSwarm(Optimizer):
             global_best = positions[0].copy()
             global_fitness = -np.inf
 
-            fitnesses = evaluate_vectors(tracker, list(positions))
+            fitnesses = tracker.evaluate_vector_batch(list(positions))
             for index, fitness in enumerate(fitnesses):
                 personal_fitness[index] = fitness
                 if fitness > global_fitness:
@@ -101,7 +96,7 @@ class ParticleSwarm(Optimizer):
             )
             positions = np.clip(positions + velocities, 0.0, 1.0)
 
-            fitnesses = evaluate_vectors(tracker, list(positions))
+            fitnesses = tracker.evaluate_vector_batch(list(positions))
             for index, fitness in enumerate(fitnesses):
                 if fitness > personal_fitness[index]:
                     personal_fitness[index] = fitness

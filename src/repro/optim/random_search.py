@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.search import SearchTracker
 from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 
@@ -24,8 +25,9 @@ class RandomSearch(Optimizer):
     Half the samples are drawn from the structured genome sampler (which is
     biased towards legal PE counts) and half from the uniform vector space,
     matching how a practitioner would randomise over the flat encoding.
-    Samples are scored in chunks so the evaluation engine sees batches, but
-    the sample stream is identical to drawing them one at a time.
+    Samples are scored in chunks through the tracker's matrix view so the
+    evaluation engine sees batches, but the sample stream is identical to
+    drawing them one at a time.
     """
 
     name = "Random"
@@ -33,28 +35,14 @@ class RandomSearch(Optimizer):
 
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
         resume_state(tracker, "random")
-        batch = getattr(tracker, "evaluate_batch", None)
         while not tracker.exhausted:
             checkpoint_generation(tracker, _chunk_state)
-            chunk = min(_CHUNK, tracker.remaining)
             samples = []
-            for _ in range(chunk):
+            for _ in range(min(_CHUNK, tracker.remaining)):
                 if rng.random() < 0.5:
-                    samples.append((True, tracker.space.random_genome(rng)))
+                    samples.append(tracker.space.random_genome(rng))
                 else:
-                    samples.append((False, tracker.codec.random_vector(rng)))
-            if batch is not None:
-                batch(
-                    [
-                        sample if is_genome else tracker.codec.decode(sample)
-                        for is_genome, sample in samples
-                    ]
-                )
-                continue
-            for is_genome, sample in samples:
-                if tracker.exhausted:
-                    break
-                if is_genome:
-                    tracker.evaluate_genome(sample)
-                else:
-                    tracker.evaluate_vector(sample)
+                    samples.append(
+                        tracker.codec.decode(tracker.codec.random_vector(rng))
+                    )
+            tracker.evaluate_matrix(GenomeMatrix.from_genomes(samples))

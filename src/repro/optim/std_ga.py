@@ -12,29 +12,22 @@ from typing import List
 
 import numpy as np
 
-from repro.encoding.genome import Genome, log_uniform_int
+from repro.encoding.genome import log_uniform_int
 from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix
 from repro.framework.search import SearchTracker
-from repro.optim.base import (
-    Optimizer,
-    checkpoint_generation,
-    evaluate_genomes,
-    reject_resume,
-    resume_state,
-    warn_checkpoints_skipped,
-)
+from repro.optim.base import Optimizer, checkpoint_generation, resume_state
 from repro.workloads.dims import DIMS
 
 
 class StandardGA(Optimizer):
     """Elitist GA with uniform crossover and per-gene random mutation.
 
-    The generation loop runs gene-matrix-native when the tracker prefers
-    the matrix view (:attr:`~repro.framework.search.SearchTracker.prefers_matrix`:
-    the vector engine, at any hierarchy depth) — same RNG stream and
-    fitnesses as the per-genome form, pinned by the trajectory-parity
-    tests.  The scalar engines, trackers without the matrix view and
-    ``use_matrix=False`` take the per-genome loop.
+    The population lives in a
+    :class:`~repro.encoding.genome_matrix.GenomeMatrix` whose rows the
+    blind operators below edit as plain gene lists; each generation is
+    priced in one ``tracker.evaluate_matrix`` call.  The loop runs under
+    every engine and hierarchy depth and checkpoints at each generation
+    boundary.
     """
 
     name = "stdGA"
@@ -46,7 +39,6 @@ class StandardGA(Optimizer):
         elite_ratio: float = 0.1,
         crossover_rate: float = 0.8,
         mutation_rate: float = 0.1,
-        use_matrix: bool = True,
     ):
         if population_size < 4:
             raise ValueError("population_size must be >= 4")
@@ -56,18 +48,8 @@ class StandardGA(Optimizer):
         self.elite_ratio = elite_ratio
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
-        self.use_matrix = use_matrix
 
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        if (
-            self.use_matrix
-            and getattr(tracker, "evaluate_matrix", None) is not None
-            and getattr(tracker, "prefers_matrix", True)
-        ):
-            return self._run_matrix(tracker, rng)
-        return self._run_genomes(tracker, rng)
-
-    def _run_matrix(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
         space = tracker.space
         state = resume_state(tracker, "stdga-matrix")
         if state is not None:
@@ -119,76 +101,7 @@ class StandardGA(Optimizer):
             if len(fitnesses) < len(population):
                 return
 
-    def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The per-genome loop (scalar engines, trackers without the matrix
-        view, ``use_matrix=False``).  Not checkpointable: it warns when a
-        checkpoint session is attached and rejects restored state."""
-        reject_resume(tracker)
-        warn_checkpoints_skipped(tracker, self.name)
-        space = tracker.space
-        population = space.random_population(self.population_size, rng)
-        fitnesses = evaluate_genomes(tracker, population)
-        if len(fitnesses) < len(population):
-            return
-
-        num_elites = max(1, int(self.population_size * self.elite_ratio))
-        while not tracker.exhausted:
-            order = np.argsort(fitnesses)[::-1]
-            elites = [population[i] for i in order[:num_elites]]
-
-            children: List[Genome] = [elite.copy() for elite in elites]
-            while len(children) < self.population_size:
-                parent_a = population[int(rng.choice(order[: self.population_size // 2]))]
-                parent_b = population[int(rng.choice(order[: self.population_size // 2]))]
-                child = (
-                    self._uniform_crossover(parent_a, parent_b, rng)
-                    if rng.random() < self.crossover_rate
-                    else parent_a.copy()
-                )
-                self._mutate(child, tracker, rng)
-                children.append(child)
-
-            population = children
-            fitnesses = evaluate_genomes(tracker, population)
-            if len(fitnesses) < len(population):
-                return
-
-    # -- blind genetic operators --------------------------------------------
-
-    @staticmethod
-    def _uniform_crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
-        child = a.copy()
-        for level_index, level in enumerate(child.levels):
-            other = b.levels[level_index]
-            if rng.random() < 0.5:
-                level.spatial_size = other.spatial_size
-            if rng.random() < 0.5:
-                level.parallel_dim = other.parallel_dim
-            if rng.random() < 0.5:
-                level.order = list(other.order)
-            for dim in DIMS:
-                if rng.random() < 0.5:
-                    level.tiles[dim] = other.tiles[dim]
-        return child
-
-    def _mutate(self, genome: Genome, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        space = tracker.space
-        for level_index, level in enumerate(genome.levels):
-            if rng.random() < self.mutation_rate:
-                level.spatial_size = log_uniform_int(
-                    rng, 1, space.spatial_bound(level_index)
-                )
-            if rng.random() < self.mutation_rate:
-                level.parallel_dim = str(rng.choice(DIMS))
-            if rng.random() < self.mutation_rate:
-                order = list(level.order)
-                rng.shuffle(order)
-                level.order = order
-            for dim in DIMS:
-                if rng.random() < self.mutation_rate:
-                    level.tiles[dim] = log_uniform_int(rng, 1, space.dim_bounds[dim])
-
-    # -- gene-matrix row twins (identical RNG streams) -----------------------
+    # -- blind genetic operators on gene rows ---------------------------------
 
     @staticmethod
     def _uniform_crossover_row(

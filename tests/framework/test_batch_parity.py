@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.arch.platform import CLOUD, EDGE
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.encoding.repair import repair_genome
 from repro.framework.evaluator import DesignEvaluator
 from repro.framework.search import SearchTracker
@@ -94,7 +95,7 @@ class TestBatchedVsSequential:
         tracker_batch = make()
         tracker_loop = make()
         _, genomes = _seeded_genomes(tracker_batch.evaluator, 25, seed=3)
-        fits_batch = tracker_batch.evaluate_batch(genomes)
+        fits_batch = tracker_batch.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
         fits_loop = [tracker_loop.evaluate_genome(g) for g in genomes]
         assert fits_batch == fits_loop
         assert tracker_batch.best.fitness == tracker_loop.best.fitness
@@ -108,10 +109,11 @@ class TestBatchedVsSequential:
             evaluator, evaluator.genome_space(), sampling_budget=5
         )
         _, genomes = _seeded_genomes(evaluator, 9, seed=1)
-        fitnesses = tracker.evaluate_batch(genomes)
+        matrix = GenomeMatrix.from_genomes(genomes)
+        fitnesses = tracker.evaluate_matrix(matrix)
         assert len(fitnesses) == 5
         assert tracker.exhausted
-        assert tracker.evaluate_batch(genomes) == []
+        assert tracker.evaluate_matrix(matrix) == []
 
     def test_vector_batch_matches_vector_loop(self, resnet18):
         make = lambda: SearchTracker(

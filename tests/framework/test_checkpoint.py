@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +21,10 @@ from repro.framework.checkpoint import (
 )
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.search import SearchInterrupted
-from repro.optim.base import reject_resume, resume_state
+from repro.optim.base import resume_state
 from repro.optim.registry import get_optimizer
 from repro.serialization import evaluation_result_to_dict
+from repro.workloads.registry import get_model
 
 #: Enough budget for several generation boundaries on every optimizer
 #: (stdGA's default population of 40 is the widest per-generation spend).
@@ -75,6 +75,23 @@ def run_search(tiny_model, optimizer_name, *, checkpoint_dir=None,
             interrupt_check=interrupt_check,
             checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
             checkpoint_every=checkpoint_every,
+        )
+    finally:
+        framework.close()
+
+
+def run_pareto(model, *, checkpoint_dir=None, interrupt_check=None,
+               **framework_kwargs):
+    framework = CoOptimizationFramework(
+        model, EDGE, objectives="latency,energy", **framework_kwargs
+    )
+    try:
+        return framework.pareto_search(
+            get_optimizer("nsga2"),
+            sampling_budget=BUDGET,
+            seed=3,
+            interrupt_check=interrupt_check,
+            checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
         )
     finally:
         framework.close()
@@ -196,11 +213,6 @@ class TestResumeStateGuards:
         with pytest.raises(ValueError, match="'de' loop state"):
             resume_state(tracker, "pso")
 
-    def test_reject_resume_refuses_restored_state(self):
-        with pytest.raises(ValueError, match="cannot resume"):
-            reject_resume(SimpleNamespace(resume_state={"kind": "digamma-matrix"}))
-        reject_resume(SimpleNamespace(resume_state=None))  # fresh runs pass
-
 
 class TestBitIdenticalResume:
     @pytest.mark.parametrize("num_levels", [2, 3])
@@ -301,74 +313,67 @@ class TestBitIdenticalResume:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestPerGenomeLoopsSkipCheckpoints:
-    """The scalar engines keep the per-genome loops, which announce no
-    generation boundaries: they must say so instead of silently ignoring
-    the checkpoint directory."""
+class TestScalarEnginesResume:
+    """The GA loops checkpoint under every engine: a search interrupted
+    under a scalar engine leaves a checkpoint and resumes to the
+    uninterrupted trajectory."""
 
-    @pytest.mark.parametrize("name", ["digamma", "stdga", "nsga2"])
-    def test_scalar_engine_warns_and_writes_nothing(
-        self, tmp_path, tiny_model, name
+    @pytest.fixture(scope="class")
+    def ncf(self):
+        return get_model("ncf")
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("name", ["digamma", "stdga"])
+    def test_interrupt_and_resume_matches_uninterrupted_run(
+        self, tmp_path, ncf, name, engine
     ):
-        control = run_search(tiny_model, name, engine="fast")
-        interrupt = InterruptAfter(2)
-        with pytest.warns(RuntimeWarning, match="writes no checkpoints") as caught:
-            result = run_search(
-                tiny_model, name,
-                checkpoint_dir=tmp_path,
-                interrupt_check=interrupt,
-                engine="fast",
-            )
-        assert len(caught) == 1
-        assert interrupt.calls == 0
-        assert list(tmp_path.glob("*.ckpt.json")) == []
-        assert result.history == control.history
-        assert result.evaluations == BUDGET
-
-    def test_no_warning_when_nothing_is_skipped(self, tmp_path, tiny_model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            # Per-genome loop without a checkpoint directory.
-            run_search(tiny_model, "digamma", engine="fast")
-            # Matrix loop (any depth) with one.
+        control = run_search(ncf, name, engine=engine)
+        with pytest.raises(SearchInterrupted):
             run_search(
-                tiny_model, "digamma", checkpoint_dir=tmp_path, num_levels=3
+                ncf, name,
+                checkpoint_dir=tmp_path,
+                interrupt_check=InterruptAfter(2),
+                engine=engine,
             )
+        assert len(list(tmp_path.glob("*.ckpt.json"))) == 1
+        resumed = run_search(ncf, name, checkpoint_dir=tmp_path, engine=engine)
+        assert resumed.history == control.history
+        assert resumed.evaluations == control.evaluations
+        assert resumed.best.fitness == control.best.fitness
+        assert list(tmp_path.glob("*.ckpt.json")) == []
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_interrupted_pareto_search_resumes(self, tmp_path, ncf, engine):
+        control = run_pareto(ncf, engine=engine)
+        with pytest.raises(SearchInterrupted):
+            run_pareto(
+                ncf,
+                checkpoint_dir=tmp_path,
+                interrupt_check=InterruptAfter(2),
+                engine=engine,
+            )
+        assert len(list(tmp_path.glob("*.ckpt.json"))) == 1
+        resumed = run_pareto(ncf, checkpoint_dir=tmp_path, engine=engine)
+        assert resumed.evaluations == control.evaluations
+        assert resumed.front_values == control.front_values
+        assert list(tmp_path.glob("*.ckpt.json")) == []
 
 
 class TestParetoResume:
-    def run_pareto(self, tiny_model, *, checkpoint_dir=None,
-                   interrupt_check=None, num_levels=2):
-        framework = CoOptimizationFramework(
-            tiny_model, EDGE, objectives="latency,energy", num_levels=num_levels
-        )
-        try:
-            return framework.pareto_search(
-                get_optimizer("nsga2"),
-                sampling_budget=BUDGET,
-                seed=3,
-                interrupt_check=interrupt_check,
-                checkpoint_dir=(
-                    None if checkpoint_dir is None else str(checkpoint_dir)
-                ),
-            )
-        finally:
-            framework.close()
-
     @pytest.mark.parametrize("num_levels", [2, 3])
     def test_interrupted_pareto_search_resumes_bit_identically(
         self, tmp_path, tiny_model, num_levels
     ):
-        control = self.run_pareto(tiny_model, num_levels=num_levels)
+        control = run_pareto(tiny_model, num_levels=num_levels)
         with pytest.raises(SearchInterrupted):
-            self.run_pareto(
+            run_pareto(
                 tiny_model,
                 checkpoint_dir=tmp_path,
                 interrupt_check=InterruptAfter(2),
                 num_levels=num_levels,
             )
         assert list(tmp_path.glob("*.ckpt.json"))
-        resumed = self.run_pareto(
+        resumed = run_pareto(
             tiny_model, checkpoint_dir=tmp_path, num_levels=num_levels
         )
         assert resumed.evaluations == control.evaluations

@@ -260,20 +260,7 @@ class TestRowReuse:
 
 
 class TestTrackerMatrixViews:
-    @pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
-    @pytest.mark.parametrize("engine", ["vector", "fast", "reference"])
-    def test_prefers_matrix_depends_on_the_engine_only(
-        self, ncf, engine, num_levels
-    ):
-        evaluator = DesignEvaluator(model=ncf, platform=EDGE, engine=engine)
-        tracker = SearchTracker(
-            evaluator,
-            evaluator.genome_space(num_levels=num_levels),
-            sampling_budget=10,
-        )
-        assert tracker.prefers_matrix is (engine == "vector")
-
-    def test_matches_the_genome_batch_view(self, resnet18):
+    def test_matches_the_per_genome_view(self, resnet18):
         def make():
             evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
             return SearchTracker(
@@ -287,15 +274,13 @@ class TestTrackerMatrixViews:
         fits_matrix = matrix_tracker.evaluate_matrix(
             GenomeMatrix.from_genomes(genomes)
         )
-        fits_genomes = genome_tracker.evaluate_batch(genomes)
+        fits_genomes = [genome_tracker.evaluate_genome(g) for g in genomes]
         assert fits_matrix == fits_genomes
         assert matrix_tracker.best.fitness == genome_tracker.best.fitness
         assert matrix_tracker.history == genome_tracker.history
-        assert matrix_tracker.batch_calls == genome_tracker.batch_calls
-        assert (
-            matrix_tracker.batched_evaluations
-            == genome_tracker.batched_evaluations
-        )
+        assert matrix_tracker.evaluations == genome_tracker.evaluations
+        assert matrix_tracker.batch_calls == 1
+        assert matrix_tracker.batched_evaluations == 30
 
     def test_truncates_at_the_budget(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)

@@ -101,9 +101,8 @@ class TestSearchThreeLevels:
         assert stats["fallback_depth"] == 0
 
     def test_three_level_search_runs_the_matrix_loop(self, tiny_model, monkeypatch):
-        # Under the vector engine the generation loop itself is
-        # depth-general: a three-level search feeds gene matrices to the
-        # tracker and never touches the per-genome batch view.
+        # The generation loop itself is depth-general: a three-level
+        # search feeds its gene matrices to the tracker.
         matrix_calls = []
         evaluate_matrix = SearchTracker.evaluate_matrix
 
@@ -111,11 +110,7 @@ class TestSearchThreeLevels:
             matrix_calls.append(matrix.num_levels)
             return evaluate_matrix(tracker, matrix)
 
-        def refuse_genomes(tracker, genomes):
-            raise AssertionError("the per-genome loop ran")
-
         monkeypatch.setattr(SearchTracker, "evaluate_matrix", spy_matrix)
-        monkeypatch.setattr(SearchTracker, "evaluate_batch", refuse_genomes)
         framework = CoOptimizationFramework(tiny_model, EDGE, num_levels=3)
         result = framework.search(DiGamma(), sampling_budget=250, seed=0)
         assert result.evaluations == 250

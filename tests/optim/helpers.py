@@ -3,6 +3,8 @@
 ``QuadraticTracker`` mimics the :class:`SearchTracker` interface with a
 cheap analytic fitness (a negated sphere function), so the black-box
 optimizers can be unit-tested for convergence without the full framework.
+It offers the single-candidate views and the batched ``evaluate_matrix``
+and ``evaluate_vector_batch`` views the population optimizers call.
 """
 
 from __future__ import annotations
@@ -67,18 +69,29 @@ class QuadraticTracker:
             raise BudgetExhausted("budget exhausted")
         return self._score(self.codec.encode(genome))
 
+    def evaluate_matrix(self, matrix) -> List[float]:
+        """Score a gene matrix through the codec, truncated to the budget."""
+        genomes = matrix.to_genomes()[: self.remaining]
+        return [self._score(self.codec.encode(genome)) for genome in genomes]
+
+    def evaluate_vector_batch(self, vectors) -> List[float]:
+        """Score a batch of vectors, truncated to the budget."""
+        return [
+            self._score(np.clip(np.asarray(vector, dtype=float), 0.0, 1.0))
+            for vector in list(vectors)[: self.remaining]
+        ]
+
     def first_sample_fitness(self) -> float:
         """Fitness of the very first sample (a random-start reference)."""
         return self.fitness_log[0] if self.fitness_log else -np.inf
 
 
 class BatchSpyTracker(QuadraticTracker):
-    """Quadratic tracker with the batched views and call counters.
+    """Quadratic tracker that counts calls to the batched views.
 
-    Mirrors :class:`SearchTracker`'s batch semantics (truncate to the
-    remaining budget) while recording how many evaluations arrived through
-    the batched path — used to assert optimizers keep the fast path when
-    wrapped (e.g. inside a portfolio's budget slice).
+    Records how many evaluations arrived through the batched path — used
+    to assert optimizers keep the fast path when wrapped (e.g. inside a
+    portfolio's budget slice).
     """
 
     def __init__(self, sampling_budget: int, dimension_target: float = 0.7):
@@ -86,17 +99,13 @@ class BatchSpyTracker(QuadraticTracker):
         self.batch_calls = 0
         self.batched_evaluations = 0
 
-    def evaluate_batch(self, genomes) -> List[float]:
-        batch = list(genomes)[: self.remaining]
+    def _counted(self, fitnesses: List[float]) -> List[float]:
         self.batch_calls += 1
-        self.batched_evaluations += len(batch)
-        return [self._score(self.codec.encode(genome)) for genome in batch]
+        self.batched_evaluations += len(fitnesses)
+        return fitnesses
+
+    def evaluate_matrix(self, matrix) -> List[float]:
+        return self._counted(super().evaluate_matrix(matrix))
 
     def evaluate_vector_batch(self, vectors) -> List[float]:
-        batch = list(vectors)[: self.remaining]
-        self.batch_calls += 1
-        self.batched_evaluations += len(batch)
-        return [
-            self._score(np.clip(np.asarray(vector, dtype=float), 0.0, 1.0))
-            for vector in batch
-        ]
+        return self._counted(super().evaluate_vector_batch(vectors))

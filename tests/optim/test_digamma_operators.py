@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.encoding.genome import GenomeSpace
+from repro.encoding.genome_matrix import LEVEL_WIDTH, genome_to_genes
 from repro.optim.digamma import operators
 from repro.workloads.dims import DIMS
 from tests.optim.helpers import make_space
@@ -14,59 +15,79 @@ def space():
     return make_space(max_pes=256)
 
 
+def random_row(space, rng):
+    return genome_to_genes(space.random_genome(rng))
+
+
 @pytest.fixture
 def parents(space, rng):
-    return space.random_genome(rng), space.random_genome(rng)
+    return random_row(space, rng), random_row(space, rng)
+
+
+def levels(row, num_levels=2):
+    """Per-level ``(spatial, parallel index, order, tiles)`` of a gene row."""
+    return [
+        (row[base], row[base + 1], row[base + 2 : base + 8], row[base + 8 : base + 14])
+        for base in range(0, num_levels * LEVEL_WIDTH, LEVEL_WIDTH)
+    ]
+
+
+def pe_count(row, num_levels=2):
+    count = 1
+    for spatial, _, _, _ in levels(row, num_levels):
+        count *= spatial
+    return count
 
 
 class TestCrossover:
     def test_child_genes_come_from_parents(self, parents, rng):
         parent_a, parent_b = parents
-        child = operators.crossover(parent_a, parent_b, rng)
-        for level, a_level, b_level in zip(child.levels, parent_a.levels, parent_b.levels):
-            for dim in DIMS:
-                assert level.tiles[dim] in (a_level.tiles[dim], b_level.tiles[dim])
-            assert level.parallel_dim in (a_level.parallel_dim, b_level.parallel_dim)
+        child = operators.crossover_rows(parent_a, parent_b, 2, rng)
+        for level, a_level, b_level in zip(
+            levels(child), levels(parent_a), levels(parent_b)
+        ):
+            for tile, a_tile, b_tile in zip(level[3], a_level[3], b_level[3]):
+                assert tile in (a_tile, b_tile)
+            assert level[1] in (a_level[1], b_level[1])
 
     def test_order_and_hw_stay_with_first_parent(self, parents, rng):
         parent_a, parent_b = parents
-        child = operators.crossover(parent_a, parent_b, rng)
-        for level, a_level in zip(child.levels, parent_a.levels):
-            assert list(level.order) == list(a_level.order)
-            assert level.spatial_size == a_level.spatial_size
+        child = operators.crossover_rows(parent_a, parent_b, 2, rng)
+        for level, a_level in zip(levels(child), levels(parent_a)):
+            assert level[2] == a_level[2]
+            assert level[0] == a_level[0]
 
     def test_parents_not_modified(self, parents, rng):
         parent_a, parent_b = parents
-        before_a = parent_a.to_mapping()
-        before_b = parent_b.to_mapping()
-        operators.crossover(parent_a, parent_b, rng)
-        assert parent_a.to_mapping() == before_a
-        assert parent_b.to_mapping() == before_b
+        before_a = list(parent_a)
+        before_b = list(parent_b)
+        operators.crossover_rows(parent_a, parent_b, 2, rng)
+        assert parent_a == before_a
+        assert parent_b == before_b
 
 
 class TestReorder:
     def test_order_stays_a_permutation(self, space, rng):
         for _ in range(30):
-            genome = space.random_genome(rng)
-            operators.reorder(genome, rng)
-            for level in genome.levels:
-                assert sorted(level.order) == sorted(DIMS)
+            row = random_row(space, rng)
+            operators.reorder_row(row, 2, rng)
+            for _, _, order, _ in levels(row):
+                assert sorted(order) == list(range(len(DIMS)))
 
     def test_only_order_changes(self, space, rng):
-        genome = space.random_genome(rng)
-        tiles_before = [dict(level.tiles) for level in genome.levels]
-        spatial_before = genome.pe_array
-        operators.reorder(genome, rng)
-        assert [dict(level.tiles) for level in genome.levels] == tiles_before
-        assert genome.pe_array == spatial_before
+        row = random_row(space, rng)
+        before = [(spatial, parallel, tiles) for spatial, parallel, _, tiles in levels(row)]
+        operators.reorder_row(row, 2, rng)
+        after = [(spatial, parallel, tiles) for spatial, parallel, _, tiles in levels(row)]
+        assert after == before
 
     def test_eventually_changes_the_order(self, space, rng):
-        genome = space.random_genome(rng)
-        original = [list(level.order) for level in genome.levels]
+        row = random_row(space, rng)
+        original = [order for _, _, order, _ in levels(row)]
         changed = False
         for _ in range(20):
-            operators.reorder(genome, rng)
-            if [list(level.order) for level in genome.levels] != original:
+            operators.reorder_row(row, 2, rng)
+            if [order for _, _, order, _ in levels(row)] != original:
                 changed = True
                 break
         assert changed
@@ -75,56 +96,55 @@ class TestReorder:
 class TestGrow:
     def test_moves_by_a_factor_of_two_and_stays_bounded(self, space, rng):
         for _ in range(50):
-            genome = space.random_genome(rng)
-            before = [dict(level.tiles) for level in genome.levels]
-            operators.grow(genome, space, rng)
-            after = [dict(level.tiles) for level in genome.levels]
+            row = random_row(space, rng)
+            before = [tiles for _, _, _, tiles in levels(row)]
+            operators.grow_row(row, space, 2, rng)
+            after = [tiles for _, _, _, tiles in levels(row)]
             differences = [
-                (index, dim)
+                (index, position)
                 for index in range(len(before))
-                for dim in DIMS
-                if before[index][dim] != after[index][dim]
+                for position in range(len(DIMS))
+                if before[index][position] != after[index][position]
             ]
             assert len(differences) <= 1
-            for index, dim in differences:
-                old, new = before[index][dim], after[index][dim]
-                assert new in (min(space.dim_bounds[dim], old * 2), max(1, old // 2))
+            for index, position in differences:
+                bound = space.dim_bounds[DIMS[position]]
+                old, new = before[index][position], after[index][position]
+                assert new in (min(bound, old * 2), max(1, old // 2))
 
     def test_never_leaves_bounds(self, space, rng):
-        genome = space.random_genome(rng)
+        row = random_row(space, rng)
         for _ in range(100):
-            operators.grow(genome, space, rng)
-            for level in genome.levels:
-                for dim in DIMS:
-                    assert 1 <= level.tiles[dim] <= space.dim_bounds[dim]
+            operators.grow_row(row, space, 2, rng)
+            for _, _, _, tiles in levels(row):
+                for dim, tile in zip(DIMS, tiles):
+                    assert 1 <= tile <= space.dim_bounds[dim]
 
 
 class TestMutateMap:
     def test_only_mapping_genes_change(self, space, rng):
         for _ in range(30):
-            genome = space.random_genome(rng)
-            spatial_before = genome.pe_array
-            order_before = [list(level.order) for level in genome.levels]
-            operators.mutate_map(genome, space, rng)
-            assert genome.pe_array == spatial_before
-            assert [list(level.order) for level in genome.levels] == order_before
+            row = random_row(space, rng)
+            before = [(spatial, order) for spatial, _, order, _ in levels(row)]
+            operators.mutate_map_row(row, space, 2, rng)
+            assert [(spatial, order) for spatial, _, order, _ in levels(row)] == before
 
     def test_tiles_stay_in_bounds(self, space, rng):
-        genome = space.random_genome(rng)
+        row = random_row(space, rng)
         for _ in range(100):
-            operators.mutate_map(genome, space, rng)
-            for level in genome.levels:
-                for dim in DIMS:
-                    assert 1 <= level.tiles[dim] <= space.dim_bounds[dim]
-                assert level.parallel_dim in DIMS
+            operators.mutate_map_row(row, space, 2, rng)
+            for _, parallel, _, tiles in levels(row):
+                for dim, tile in zip(DIMS, tiles):
+                    assert 1 <= tile <= space.dim_bounds[dim]
+                assert 0 <= parallel < len(DIMS)
 
 
 class TestMutateHW:
     def test_respects_max_pes(self, space, rng):
-        genome = space.random_genome(rng)
+        row = random_row(space, rng)
         for _ in range(100):
-            operators.mutate_hw(genome, space, rng)
-            assert genome.num_pes <= space.max_pes * 2  # aspect-ratio transfer slack
+            operators.mutate_hw_row(row, space, 2, rng)
+            assert pe_count(row) <= space.max_pes * 2  # aspect-ratio transfer slack
 
     def test_noop_when_hw_fixed(self, rng):
         fixed_space = GenomeSpace(
@@ -133,29 +153,28 @@ class TestMutateHW:
             num_levels=2,
             fixed_pe_array=(8, 16),
         )
-        genome = fixed_space.random_genome(rng)
-        before = genome.pe_array
+        row = random_row(fixed_space, rng)
+        before = [spatial for spatial, _, _, _ in levels(row)]
         for _ in range(20):
-            operators.mutate_hw(genome, fixed_space, rng)
-        assert genome.pe_array == before
+            operators.mutate_hw_row(row, fixed_space, 2, rng)
+        assert [spatial for spatial, _, _, _ in levels(row)] == before
 
     def test_non_parallel_tiles_untouched(self, space, rng):
-        genome = space.random_genome(rng)
-        tiles_before = [dict(level.tiles) for level in genome.levels]
-        parallel_dims = [level.parallel_dim for level in genome.levels]
-        operators.mutate_hw(genome, space, rng)
-        for before, level, parallel in zip(tiles_before, genome.levels, parallel_dims):
-            for dim in DIMS:
-                if dim != parallel:
-                    assert level.tiles[dim] == before[dim]
+        row = random_row(space, rng)
+        before = levels(row)
+        operators.mutate_hw_row(row, space, 2, rng)
+        for (_, parallel, _, old_tiles), (_, _, _, tiles) in zip(before, levels(row)):
+            for position in range(len(DIMS)):
+                if position != parallel:
+                    assert tiles[position] == old_tiles[position]
 
     def test_eventually_changes_the_array(self, space, rng):
-        genome = space.random_genome(rng)
-        original = genome.pe_array
+        row = random_row(space, rng)
+        original = [spatial for spatial, _, _, _ in levels(row)]
         changed = False
         for _ in range(30):
-            operators.mutate_hw(genome, space, rng)
-            if genome.pe_array != original:
+            operators.mutate_hw_row(row, space, 2, rng)
+            if [spatial for spatial, _, _, _ in levels(row)] != original:
                 changed = True
                 break
         assert changed
@@ -233,12 +252,12 @@ class TestRngStreamEquivalence:
     def test_crossover_draws_seven_per_level(self):
         space = make_space()
         rng = np.random.default_rng(11)
-        parent_a = space.random_genome(rng)
-        parent_b = space.random_genome(rng)
+        parent_a = random_row(space, rng)
+        parent_b = random_row(space, rng)
         before = np.random.default_rng(42)
-        child = operators.crossover(parent_a, parent_b, before)
+        child = operators.crossover_rows(parent_a, parent_b, space.num_levels, before)
         replay = np.random.default_rng(42)
-        replay.random(7 * parent_a.num_levels)
+        replay.random(7 * space.num_levels)
         # Both generators are now at the same point in the stream.
         assert before.integers(10**6) == replay.integers(10**6)
-        assert child.num_levels == parent_a.num_levels
+        assert len(child) == len(parent_a)

@@ -1,11 +1,13 @@
 """Golden search trajectories and operator draws.
 
-``loop_goldens.json`` was recorded from the per-genome GA loops
-(``use_matrix=False``) and the genome-form DiGamma operators, on the
-budgets, seeds and hierarchy depths of the loop-parity tests, under the
-vector, fast and reference engines.  Every case below reruns the same
-search or operator through today's code and must reproduce the recorded
-values bit for bit:
+DiGamma, stdGA and NSGA-II each used to have a second, per-genome
+generation loop with genome-form operators, kept only so parity tests
+could compare the gene-matrix loop against it.  ``loop_goldens.json`` was
+recorded from those per-genome loops and operators before they were
+deleted, on the parity tests' budgets, seeds and hierarchy depths, under
+the vector, fast and reference engines.  Every case below reruns the same
+search or ``*_row`` operator through today's code and must reproduce the
+recorded values bit for bit:
 
 * a search golden is its best fitness, evaluation count and a SHA-256 of
   its history (of its Pareto front values for ``pareto_search``);

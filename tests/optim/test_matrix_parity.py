@@ -2,10 +2,11 @@
 
 The hard invariant of this repository's perf work: rewriting a search
 inner loop must not change *anything* about the search — the RNG stream,
-the fitness sequence, the best design, the history.  Every matrix-native
-loop is pinned here against its per-genome twin at hierarchy depths 1-4,
-and the engine selectors and memoization are pinned against each other
-through whole searches.
+the fitness sequence, the best design, the history.  The GA loops and
+their ``*_row`` operators are pinned against recorded goldens in
+``test_loop_goldens.py``; here the engine selectors and memoization are
+pinned against each other through whole searches, and the vectorized
+PSO sweep against its per-particle reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.encoding.genome_matrix import GenomeMatrix, genome_to_genes
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
-from repro.optim.nsga2 import NSGA2
 from repro.optim.pso import ParticleSwarm
 from repro.optim.std_ga import StandardGA
 from repro.workloads.registry import get_model
@@ -37,53 +37,8 @@ def _search(model, optimizer, budget=600, seed=3, **framework_kwargs):
     return framework.search(optimizer, sampling_budget=budget, seed=seed)
 
 
-#: Hierarchy depths every matrix loop is pinned at: the vector engine
-#: takes the matrix loops at any depth, not just the default two levels.
+#: Hierarchy depths the row operators are checked at.
 DEPTHS = pytest.mark.parametrize("num_levels", [1, 2, 3, 4])
-
-
-class TestLoopParity:
-    @DEPTHS
-    def test_digamma_matrix_equals_genome_loop(self, ncf, num_levels):
-        matrix = _search(ncf, DiGamma(), num_levels=num_levels)
-        legacy = _search(ncf, DiGamma(use_matrix=False), num_levels=num_levels)
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
-        assert matrix.evaluations == legacy.evaluations
-
-    @DEPTHS
-    def test_stdga_matrix_equals_genome_loop(self, ncf, num_levels):
-        matrix = _search(ncf, StandardGA(), num_levels=num_levels)
-        legacy = _search(ncf, StandardGA(use_matrix=False), num_levels=num_levels)
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
-
-    @DEPTHS
-    def test_nsga2_matrix_equals_genome_loop(self, ncf, num_levels):
-        def front(use_matrix):
-            framework = CoOptimizationFramework(
-                ncf,
-                get_platform("edge"),
-                objectives="latency,energy",
-                num_levels=num_levels,
-            )
-            return framework.pareto_search(
-                NSGA2(use_matrix=use_matrix), sampling_budget=480, seed=1
-            )
-
-        matrix = front(True)
-        legacy = front(False)
-        assert matrix.front_values == legacy.front_values
-        assert matrix.evaluations == legacy.evaluations
-
-    @DEPTHS
-    def test_nsga2_scalar_mode_matrix_equals_genome_loop(self, ncf, num_levels):
-        matrix = _search(ncf, NSGA2(), budget=480, seed=2, num_levels=num_levels)
-        legacy = _search(
-            ncf, NSGA2(use_matrix=False), budget=480, seed=2, num_levels=num_levels
-        )
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
 
 
 class TestEngineParity:
@@ -102,15 +57,11 @@ class TestEngineParity:
         assert got.history == want.history
         assert got.best.fitness == want.best.fitness
 
-    @pytest.mark.parametrize("use_matrix", [True, False])
-    def test_two_level_cache_counters_are_pinned(self, ncf, use_matrix):
+    def test_two_level_cache_counters_are_pinned(self, ncf):
         # The design LRU and the layer LRU are the only reuse between
-        # generations: pin what they resolve on one small default search,
-        # through the matrix loop and the per-genome loop alike.
+        # generations: pin what they resolve on one small default search.
         framework = CoOptimizationFramework(ncf, get_platform("edge"))
-        framework.search(
-            DiGamma(use_matrix=use_matrix), sampling_budget=600, seed=3
-        )
+        framework.search(DiGamma(), sampling_budget=600, seed=3)
         evaluator = framework.evaluator
         design = evaluator.design_cache_stats
         layer = evaluator.layer_cache_stats
@@ -123,8 +74,6 @@ class _ReferencePSO(ParticleSwarm):
     """The pre-vectorization per-particle update loop, kept as ground truth."""
 
     def run(self, tracker, rng):
-        from repro.optim.base import evaluate_vectors
-
         dimension = tracker.vector_dimension
         positions = rng.random((self.swarm_size, dimension))
         velocities = (rng.random((self.swarm_size, dimension)) - 0.5) * 0.1
@@ -133,7 +82,7 @@ class _ReferencePSO(ParticleSwarm):
         global_best = positions[0].copy()
         global_fitness = -np.inf
 
-        fitnesses = evaluate_vectors(tracker, list(positions))
+        fitnesses = tracker.evaluate_vector_batch(list(positions))
         for index, fitness in enumerate(fitnesses):
             personal_fitness[index] = fitness
             if fitness > global_fitness:
@@ -160,7 +109,7 @@ class _ReferencePSO(ParticleSwarm):
                     positions[index] + velocities[index], 0.0, 1.0
                 )
 
-            fitnesses = evaluate_vectors(tracker, list(positions))
+            fitnesses = tracker.evaluate_vector_batch(list(positions))
             for index, fitness in enumerate(fitnesses):
                 if fitness > personal_fitness[index]:
                     personal_fitness[index] = fitness
@@ -181,8 +130,7 @@ class TestPSOVectorizedSweep:
 
 
 class TestOperatorRowTwins:
-    """Each row twin must consume the identical RNG stream and produce the
-    identical genes as its per-genome operator."""
+    """Row forms that still have a genome form must agree with it."""
 
     def _space(self, num_levels):
         return GenomeSpace(
@@ -190,40 +138,6 @@ class TestOperatorRowTwins:
             max_pes=256,
             num_levels=num_levels,
         )
-
-    def _pair(self, space, seed):
-        rng = np.random.default_rng(seed)
-        parent_a = space.random_genome(rng)
-        parent_b = space.random_genome(rng)
-        return parent_a, parent_b, rng
-
-    @DEPTHS
-    @pytest.mark.parametrize("seed", range(8))
-    def test_every_operator(self, seed, num_levels):
-        space = self._space(num_levels)
-        cases = [
-            ("crossover", lambda g, b, r: operators.crossover(g, b, r),
-             lambda row, b, r: operators.crossover_rows(row, b, num_levels, r)),
-            ("reorder", lambda g, b, r: operators.reorder(g, r),
-             lambda row, b, r: operators.reorder_row(row, num_levels, r)),
-            ("grow", lambda g, b, r: operators.grow(g, space, r),
-             lambda row, b, r: operators.grow_row(row, space, num_levels, r)),
-            ("mutate_map", lambda g, b, r: operators.mutate_map(g, space, r),
-             lambda row, b, r: operators.mutate_map_row(row, space, num_levels, r)),
-            ("mutate_hw", lambda g, b, r: operators.mutate_hw(g, space, r),
-             lambda row, b, r: operators.mutate_hw_row(row, space, num_levels, r)),
-        ]
-        for name, genome_op, row_op in cases:
-            parent_a, parent_b, _ = self._pair(space, seed)
-            rng_genome = np.random.default_rng(100 + seed)
-            rng_row = np.random.default_rng(100 + seed)
-            genome_result = genome_op(parent_a.copy(), parent_b, rng_genome)
-            row_result = row_op(
-                genome_to_genes(parent_a), genome_to_genes(parent_b), rng_row
-            )
-            assert row_result == genome_to_genes(genome_result), name
-            # Identical stream: the next draws must agree too.
-            assert rng_genome.random() == rng_row.random(), name
 
     @DEPTHS
     def test_balance_parallel_row(self, num_levels):
@@ -236,7 +150,7 @@ class TestOperatorRowTwins:
 
 
 class TestTrackerShim:
-    def test_matrix_optimizers_fall_back_on_stub_trackers(self):
+    def test_matrix_optimizers_run_on_stub_trackers(self):
         from tests.optim.helpers import BatchSpyTracker
 
         tracker = BatchSpyTracker(sampling_budget=120)

@@ -1,6 +1,5 @@
 """Tests for the NSGA-II multi-objective optimizer."""
 
-import numpy as np
 import pytest
 
 from repro.arch.platform import EDGE
@@ -9,7 +8,6 @@ from repro.framework.objective import Objective
 from repro.optim.nsga2 import NSGA2, NSGA2HyperParameters
 from repro.optim.registry import get_optimizer
 from repro.workloads.registry import get_model
-from tests.optim.helpers import QuadraticTracker
 
 #: The pinned acceptance configuration: one NSGA-II search whose budget
 #: equals the *total* budget of the per-objective scalar searches it
@@ -46,13 +44,6 @@ class TestHyperParameters:
             NSGA2HyperParameters(extreme_bias=-0.1)
         with pytest.raises(ValueError, match="seeded_fraction"):
             NSGA2(seeded_fraction=2.0)
-
-
-class TestTrackerContract:
-    def test_requires_batched_results_view(self):
-        tracker = QuadraticTracker(sampling_budget=50)
-        with pytest.raises(TypeError, match="evaluate_batch_results"):
-            NSGA2().run(tracker, np.random.default_rng(0))
 
 
 class TestMultiObjectiveSearch:

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.optim.de import DifferentialEvolution
+from repro.optim.digamma.algorithm import DiGamma
+from repro.optim.nsga2 import NSGA2
 from repro.optim.one_plus_one import OnePlusOneES
 from repro.optim.portfolio import PassivePortfolio, _BudgetSlice
 from repro.optim.pso import ParticleSwarm
 from repro.optim.random_search import RandomSearch
+from repro.optim.std_ga import StandardGA
 from tests.optim.helpers import BatchSpyTracker, QuadraticTracker
 
 
@@ -110,21 +114,23 @@ class TestPortfolioBudgetAccounting:
         # The outer tracker keeps the rest of its budget for other members.
         assert tracker.remaining == 95
 
-    def test_slice_forwards_genome_batches(self, rng):
+    def test_slice_forwards_matrix_batches(self, rng):
         tracker = BatchSpyTracker(sampling_budget=20)
         bounded = _BudgetSlice(tracker, allowed=10)
         genomes = [tracker.space.random_genome(rng) for _ in range(4)]
-        fitnesses = bounded.evaluate_batch(genomes)
+        fitnesses = bounded.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
         assert len(fitnesses) == 4
         assert tracker.batch_calls == 1
         assert tracker.batched_evaluations == 4
 
-    def test_slice_falls_back_without_batch_api(self, rng):
-        tracker = QuadraticTracker(sampling_budget=20)
-        bounded = _BudgetSlice(tracker, allowed=10)
-        batch = [rng.random(tracker.vector_dimension) for _ in range(4)]
-        assert len(bounded.evaluate_vector_batch(batch)) == 4
-        assert tracker.evaluations == 4
+    def test_truncated_matrix_batch_does_not_overcharge_slice(self, rng):
+        tracker = BatchSpyTracker(sampling_budget=100)
+        bounded = _BudgetSlice(tracker, allowed=5)
+        genomes = [tracker.space.random_genome(rng) for _ in range(30)]
+        fitnesses = bounded.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
+        assert len(fitnesses) == 5
+        assert bounded.exhausted
+        assert tracker.remaining == 95
 
     def test_de_and_pso_members_hit_batched_path(self, rng):
         members = [
@@ -137,6 +143,20 @@ class TestPortfolioBudgetAccounting:
         # Every evaluation of the population members arrived in a batch.
         assert tracker.batch_calls >= 2
         assert tracker.batched_evaluations == 64
+
+    def test_ga_members_spend_the_budget_on_a_real_framework(self):
+        from repro.arch.platform import EDGE
+        from repro.framework.cooptimizer import CoOptimizationFramework
+        from repro.workloads.registry import get_model
+
+        framework = CoOptimizationFramework(get_model("ncf"), EDGE)
+        portfolio = PassivePortfolio(members=[DiGamma(), StandardGA(), NSGA2()])
+        try:
+            result = framework.search(portfolio, sampling_budget=300, seed=3)
+        finally:
+            framework.close()
+        assert result.evaluations == 300
+        assert result.found_valid
 
     def test_de_member_batches_through_real_search_tracker(self):
         from repro.arch.platform import EDGE

@@ -14,6 +14,10 @@ recorded values bit for bit:
 * an operator golden is the child's genes and the next ``rng.random()``
   draw, which pins how many values the operator consumed.
 
+The CMA-ES and TBPSA entries were recorded from their
+one-candidate-per-call generation loops, at budgets that end in the middle
+of a generation.
+
 Never re-record the file to make a test pass.  A change that alters a
 trajectory or an operator's draws on purpose re-records it in its own,
 documented commit.
@@ -35,12 +39,14 @@ from repro.encoding.genome import GenomeSpace
 from repro.encoding.genome_matrix import genome_to_genes
 from repro.experiments.settings import make_fixed_hardware
 from repro.framework.cooptimizer import CoOptimizationFramework
+from repro.optim.cma import CMAES
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
 from repro.optim.gamma import GammaMapper
 from repro.optim.nsga2 import NSGA2
 from repro.optim.random_search import RandomSearch
 from repro.optim.std_ga import StandardGA
+from repro.optim.tbpsa import TBPSA
 from repro.workloads.registry import get_model
 
 GOLDENS = json.loads(Path(__file__).with_name("loop_goldens.json").read_text())
@@ -127,6 +133,17 @@ VARIANT_SEARCHES = {
     "stdga-workers2": Search(StandardGA, budget=600, seed=3, workers=2),
 }
 
+#: Recorded at depths 2 and 3 under the vector and fast engines.  Neither
+#: budget is a multiple of a generation (lambda = 13 at depth 2).
+BASELINE_SEARCHES = {
+    "cma-b250": Search(CMAES, budget=250, seed=3),
+    "cma-b601": Search(CMAES, budget=601, seed=5),
+    "tbpsa-b250": Search(TBPSA, budget=250, seed=3),
+    "tbpsa-b601": Search(TBPSA, budget=601, seed=5),
+}
+
+SEARCHES = {**CORE_SEARCHES, **VARIANT_SEARCHES, **BASELINE_SEARCHES}
+
 SEARCH_CASES = [
     pytest.param(name, engine, depth, id=f"{name}/{engine}/L{depth}")
     for name in CORE_SEARCHES
@@ -139,12 +156,17 @@ SEARCH_CASES = [
     pytest.param(name, engine, 2, id=f"{name}/{engine}/L2")
     for name in VARIANT_SEARCHES
     for engine in ("vector", "fast")
+] + [
+    pytest.param(name, engine, depth, id=f"{name}/{engine}/L{depth}")
+    for name in BASELINE_SEARCHES
+    for engine in ("vector", "fast")
+    for depth in (2, 3)
 ]
 
 
 @pytest.mark.parametrize("name, engine, num_levels", SEARCH_CASES)
 def test_search_reproduces_its_golden(name, engine, num_levels):
-    search = CORE_SEARCHES.get(name) or VARIANT_SEARCHES[name]
+    search = SEARCHES[name]
     golden = GOLDENS["trajectories"][f"{name}/{engine}/L{num_levels}"]
     assert search.run(engine, num_levels) == golden
 

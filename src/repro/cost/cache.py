@@ -106,11 +106,6 @@ class LRUCache:
         #: ``None`` keeps every lookup purely in-memory.
         self.tier: Optional[Any] = None
 
-    @property
-    def enabled(self) -> bool:
-        """True when the cache actually stores entries."""
-        return self.maxsize > 0
-
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached value or ``None``, refreshing recency on a hit."""
         if self.maxsize <= 0:

@@ -68,11 +68,6 @@ MappingProvider = Union[Mapping, Callable[[Layer], Mapping], TMapping[str, Mappi
 DEFAULT_LAYER_CACHE_SIZE = 16384
 
 
-#: Kept as an alias: the canonical implementation moved next to the engine
-#: so the vector engine can share it without an import cycle.
-_report_values = report_values
-
-
 class LazyModelPerformance(ModelPerformance):
     """A model report whose per-layer objects materialize on first access.
 
@@ -160,7 +155,13 @@ def _model_dims_matrix(model: Model) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostModel:
-    """MAESTRO-style analytical evaluator.
+    """MAESTRO-style analytical evaluator, and the base of every cost backend.
+
+    A cost backend is this class with its own per-layer pricer
+    (:attr:`price_layer`) and its own persistent-tier namespace
+    (:attr:`backend_name`); the layer-report LRU, its L2 tier, cache
+    adoption and the stats are shared.  The ZigZag-style backend
+    (:class:`repro.cost.zigzag.ZigZagCostModel`) is the other one.
 
     Parameters
     ----------
@@ -180,10 +181,18 @@ class CostModel:
     cache_size: int = DEFAULT_LAYER_CACHE_SIZE
     engine: str = "fast"
 
+    #: Joined into the persistent-tier namespace (see ``__post_init__``).
+    backend_name = "analytic"
+    #: Prices one (layer statics, clipped mapping key) pair on a cache miss.
+    price_layer = staticmethod(evaluate_layer_key)
+    #: Accepted ``engine`` values; the reference engine is this model's
+    #: original dict-based analysis.
+    engines = ("fast", "reference")
+
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "reference"):
+        if self.engine not in self.engines:
             raise ValueError(
-                f"engine must be 'fast' or 'reference', got {self.engine!r}"
+                f"engine must be one of {self.engines}, got {self.engine!r}"
             )
         object.__setattr__(self, "_cache", LRUCache(self.cache_size))
         object.__setattr__(
@@ -196,7 +205,9 @@ class CostModel:
             self,
             "_l2_namespace",
             cache_namespace(
-                "analytic", self.bytes_per_element, self._energy_coefficients
+                self.backend_name,
+                self.bytes_per_element,
+                self._energy_coefficients,
             ),
         )
 
@@ -314,49 +325,13 @@ class CostModel:
         evaluated (the encoding never produces hard failures, only bad
         scores).
         """
-        if noc_bandwidth <= 0 or dram_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
         if self.engine == "reference":
             return self.evaluate_layer_reference(
                 layer, mapping, noc_bandwidth, dram_bandwidth
             )
-        statics = layer_statics(layer)
-        key = layer_mapping_key(statics, mapping)
-        # Statics are canonical per layer shape (identity-hashed), which
-        # keeps the composite key cheap while distinguishing layers whose
-        # different shapes happen to clip a mapping identically.  Cached
-        # values are plain field tuples (see evaluate_model for why).
-        cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
-        cache = self._cache
-        entry = cache.get(cache_key)
-        if entry is not None:
-            return make_report(layer.name, *entry, layer.count)
-        tier = cache.tier if cache.maxsize > 0 else None
-        digest = None
-        if tier is not None:
-            digest = tuple_key_digest(
-                self._l2_namespace, statics, key, noc_bandwidth, dram_bandwidth
-            )
-            entry = tier.get(digest)
-            if entry is not None:
-                cache.put(cache_key, entry)
-                return make_report(layer.name, *entry, layer.count)
-        report = evaluate_layer_key(
-            statics,
-            key,
-            noc_bandwidth,
-            dram_bandwidth,
-            self.bytes_per_element,
-            self._energy_coefficients,
-            layer.name,
-            layer.count,
-        )
-        values = _report_values(report)
-        cache.put(cache_key, values)
-        if tier is not None:
-            tier.put(digest, values)
-            tier.flush()
-        return report
+        return self._price_layers(
+            ((layer, layer_statics(layer)),), mapping, noc_bandwidth, dram_bandwidth
+        )[0]
 
     def evaluate_layer_reference(
         self,
@@ -441,7 +416,9 @@ class CostModel:
 
         ``mappings`` may be a single :class:`Mapping` (applied to every
         layer, clipped to each layer's dimensions), a callable
-        ``layer -> Mapping``, or a dict keyed by layer name.
+        ``layer -> Mapping``, or a dict keyed by layer name.  Layers are
+        priced by :attr:`price_layer` behind the layer-report caches, or
+        by the uncached dict-based analysis on the reference engine.
         """
         if self.engine == "reference":
             reports: List[LayerPerformance] = []
@@ -451,15 +428,28 @@ class CostModel:
                     self.evaluate_layer(layer, mapping, noc_bandwidth, dram_bandwidth)
                 )
             return ModelPerformance(model_name=model.name, layers=tuple(reports))
+        reports = self._price_layers(
+            model_statics(model), mappings, noc_bandwidth, dram_bandwidth
+        )
+        return ModelPerformance(model_name=model.name, layers=tuple(reports))
 
-        # Fused fast path: one cache/engine round per unique layer, with
-        # per-evaluation constants hoisted and the cache dict operated on
-        # directly (see LRUCache.data) to keep the per-layer overhead at a
-        # couple of dict operations.  The cache stores plain field tuples
-        # rather than report objects: tuples of scalars are untracked by the
-        # cyclic GC, so thousands of cached entries do not slow collections
-        # down; reports are rebuilt on hits via the engine's bulk
-        # constructor.
+    def _price_layers(
+        self,
+        pairs,
+        mappings: MappingProvider,
+        noc_bandwidth: float,
+        dram_bandwidth: float,
+    ) -> List[LayerPerformance]:
+        """Price ``(layer, statics)`` pairs through the L1/L2 layer caches.
+
+        One cache/engine round per layer, with per-evaluation constants
+        hoisted and the cache dict operated on directly (see
+        LRUCache.data) to keep the per-layer overhead at a couple of dict
+        operations.  The cache stores plain field tuples rather than report
+        objects: tuples of scalars are untracked by the cyclic GC, so
+        thousands of cached entries do not slow collections down; reports
+        are rebuilt on hits via the engine's bulk constructor.
+        """
         if noc_bandwidth <= 0 or dram_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
         cache = self._cache
@@ -469,16 +459,20 @@ class CostModel:
         data = cache.data
         maxsize = cache.maxsize
         hits = misses = 0
+        price = self.price_layer
         bpe = self.bytes_per_element
         energy = self._energy_coefficients
         shared = mappings if isinstance(mappings, Mapping) else None
         reports = []
-        for layer, statics in model_statics(model):
+        for layer, statics in pairs:
             mapping = shared if shared is not None else _resolve_mapping(mappings, layer)
             key = layer_mapping_key(statics, mapping)
             entry = None
             digest = None
             if cache_on:
+                # Statics are canonical per layer shape (identity-hashed),
+                # which keeps the composite key cheap while distinguishing
+                # layers whose different shapes clip a mapping identically.
                 cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
                 entry = data.get(cache_key)
                 if entry is not None:
@@ -499,7 +493,7 @@ class CostModel:
                             if len(data) > maxsize:
                                 data.popitem(last=False)
             if entry is None:
-                report = evaluate_layer_key(
+                report = price(
                     statics,
                     key,
                     noc_bandwidth,
@@ -510,7 +504,7 @@ class CostModel:
                     layer.count,
                 )
                 if cache_on:
-                    values = _report_values(report)
+                    values = report_values(report)
                     data[cache_key] = values
                     if len(data) > maxsize:
                         data.popitem(last=False)
@@ -523,7 +517,7 @@ class CostModel:
         cache.misses += misses
         if tier is not None:
             tier.flush()
-        return ModelPerformance(model_name=model.name, layers=tuple(reports))
+        return reports
 
     def __getstate__(self) -> dict:
         # Worker processes re-derive engine state lazily.

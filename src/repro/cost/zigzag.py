@@ -1,11 +1,13 @@
 """ZigZag-style memory-centric cost backend.
 
-A second, independently coded implementation of the cost-backend protocol
-(:mod:`repro.cost.backend`), modeled on the temporal-mapping engine MATCH
-plugs in per target (ZigZag): data movement is counted *memory-centrically*
-— each operand's traffic at a memory level is its tile footprint times the
-product of the operand's relevant temporal loop trips at and above that
-level — instead of the analytic engine's order-aware innermost-scan.
+A second, independently coded per-layer cost model behind the shared
+layer-report caches of :class:`repro.cost.maestro.CostModel` (see
+:mod:`repro.cost.backend`).  It is modeled on the temporal-mapping engine
+MATCH plugs in per target (ZigZag): data movement is counted
+*memory-centrically* — each operand's traffic at a memory level is its
+tile footprint times the product of the operand's relevant temporal loop
+trips at and above that level — instead of the analytic engine's
+order-aware innermost-scan.
 
 Documented modeling differences vs :mod:`repro.cost.engine`:
 
@@ -30,32 +32,12 @@ tolerance gated by ``repro crosscheck``, while area-side quantities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.arch.energy import EnergyModel
-from repro.cost.cache import CacheStats, LRUCache
-from repro.cost.engine import (
-    LayerMappingKey,
-    energy_coefficients,
-    layer_mapping_key,
-    make_report,
-    report_values,
-)
-from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE, _resolve_mapping
-from repro.cost.persist import (
-    PersistentLayerCache,
-    cache_namespace,
-    tuple_key_digest,
-)
-from repro.cost.performance import LayerPerformance, ModelPerformance
-from repro.mapping.mapping import Mapping
-from repro.workloads.model import Model
-from repro.workloads.statics import (
-    REDUCTION_INDEXES,
-    LayerStatics,
-    model_statics,
-)
+from repro.cost.engine import LayerMappingKey, make_report
+from repro.cost.maestro import CostModel
+from repro.cost.performance import LayerPerformance
+from repro.workloads.statics import REDUCTION_INDEXES, LayerStatics
 
 
 def _operand_footprints(
@@ -212,166 +194,21 @@ def evaluate_layer_zigzag(
     )
 
 
-@dataclass(frozen=True)
-class ZigZagCostModel:
-    """Drop-in cost model pricing layers with the ZigZag-style engine.
+class ZigZagCostModel(CostModel):
+    """Cost model pricing layers with the ZigZag-style engine.
 
-    Implements the same protocol surface as
-    :class:`repro.cost.maestro.CostModel` (layer-report LRU, cache
-    adoption, stats) so the evaluator and sweep runner are backend-blind.
-    The ``engine`` selector is an analytic-backend concept; this backend
-    has a single scalar implementation, so the evaluator prices populations
-    with one :meth:`evaluate_model` call per design (its gene-matrix path is
-    gated to the analytic backend).
+    Only the per-layer pricer and the persistent-tier namespace differ
+    from the analytic backend; the layer-report LRU, its L2 tier, cache
+    adoption and the stats are inherited, so the evaluator and sweep
+    runner are backend-blind.  This backend has a single scalar
+    implementation: ``"fast"`` is its only engine, and the evaluator prices
+    populations with one :meth:`evaluate_model` call per design (the
+    gene-matrix path is the analytic vector engine's).
     """
 
-    energy_model: EnergyModel = EnergyModel()
-    bytes_per_element: int = 1
-    cache_size: int = DEFAULT_LAYER_CACHE_SIZE
-    engine: str = "fast"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_cache", LRUCache(self.cache_size))
-        object.__setattr__(
-            self, "_energy_coefficients", energy_coefficients(self.energy_model)
-        )
-        # Persistent-tier namespace: the backend name keeps zigzag rows
-        # and analytic rows from ever aliasing in a shared cache dir.
-        object.__setattr__(
-            self,
-            "_l2_namespace",
-            cache_namespace(
-                "zigzag", self.bytes_per_element, self._energy_coefficients
-            ),
-        )
-
-    # -- cache plumbing (protocol parity with CostModel) -------------------
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the per-layer report cache."""
-        return self._cache.stats()
-
-    def cache_clear(self) -> None:
-        """Drop all memoized layer reports and counters."""
-        self._cache.clear()
-
-    @property
-    def layer_cache(self) -> LRUCache:
-        """The layer-report cache instance (shareable via :meth:`adopt_cache`)."""
-        return self._cache
-
-    def adopt_cache(self, cache: LRUCache) -> None:
-        """Swap in an externally owned layer-report cache.
-
-        Carries a persistent L2 tier over to the adopted cache when it
-        does not have one yet (protocol parity with
-        :meth:`repro.cost.maestro.CostModel.adopt_cache`).
-        """
-        tier = self._cache.tier
-        if tier is not None and cache.tier is None:
-            cache.tier = tier
-        object.__setattr__(self, "_cache", cache)
-
-    def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
-        """Back the layer-report LRU with a persistent L2 tier."""
-        self._cache.tier = tier
-
-    @property
-    def vector_stats(self) -> dict:
-        """Stats dict with the standard keys (this backend has no vector path)."""
-        tier = self._cache.tier
-        if tier is None:
-            stats = {"l2_hits": 0, "l2_misses": 0, "l2_writes": 0}
-        else:
-            stats = tier.counters()
-        stats.update(
-            rows_vectorized=0,
-            rows_fallback=0,
-            fallback_depth=0,
-            fallback_statics_overflow=0,
-            fallback_intermediate_overflow=0,
-            fallback_small_batch=0,
-            fallback_gene_overflow=0,
-        )
-        return stats
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate_model(
-        self,
-        model: Model,
-        mappings,
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> ModelPerformance:
-        """Evaluate every unique layer of ``model`` and aggregate."""
-        if noc_bandwidth <= 0 or dram_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        cache = self._cache
-        cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
-        namespace = self._l2_namespace
-        data = cache.data
-        maxsize = cache.maxsize
-        hits = misses = 0
-        bpe = self.bytes_per_element
-        energy = self._energy_coefficients
-        shared = mappings if isinstance(mappings, Mapping) else None
-        reports = []
-        for layer, statics in model_statics(model):
-            mapping = (
-                shared if shared is not None
-                else _resolve_mapping(mappings, layer)
-            )
-            key = layer_mapping_key(statics, mapping)
-            entry = None
-            digest = None
-            if cache_on:
-                cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
-                entry = data.get(cache_key)
-                if entry is not None:
-                    hits += 1
-                else:
-                    # An L2 hit still counts as an L1 miss (identical
-                    # counters cold or warm; see CostModel.evaluate_model).
-                    misses += 1
-                    if tier is not None:
-                        digest = tuple_key_digest(
-                            namespace, statics, key,
-                            noc_bandwidth, dram_bandwidth,
-                        )
-                        entry = tier.get(digest)
-                        if entry is not None:
-                            data[cache_key] = entry
-                            if len(data) > maxsize:
-                                data.popitem(last=False)
-            if entry is None:
-                report = evaluate_layer_zigzag(
-                    statics,
-                    key,
-                    noc_bandwidth,
-                    dram_bandwidth,
-                    bpe,
-                    energy,
-                    layer.name,
-                    layer.count,
-                )
-                if cache_on:
-                    values = report_values(report)
-                    data[cache_key] = values
-                    if len(data) > maxsize:
-                        data.popitem(last=False)
-                    if digest is not None:
-                        tier.put(digest, values)
-            else:
-                report = make_report(layer.name, *entry, layer.count)
-            reports.append(report)
-        cache.hits += hits
-        cache.misses += misses
-        if tier is not None:
-            tier.flush()
-        return ModelPerformance(model_name=model.name, layers=tuple(reports))
+    backend_name = "zigzag"
+    price_layer = staticmethod(evaluate_layer_zigzag)
+    engines = ("fast",)
 
     def evaluate_model_matrix(self, *args, **kwargs):
         """The gene-matrix path is analytic-backend only."""

@@ -81,15 +81,15 @@ class CMAES(Optimizer):
 
             sqrt_eigenvalues = np.sqrt(eigenvalues)
             samples = []
-            fitnesses = []
             for _ in range(lam):
-                if tracker.exhausted:
-                    return
                 z = rng.standard_normal(dimension)
                 step = eigenvectors @ (sqrt_eigenvalues * z)
-                candidate = np.clip(mean + sigma * step, 0.0, 1.0)
-                samples.append((candidate, z))
-                fitnesses.append(tracker.evaluate_vector(candidate))
+                samples.append((np.clip(mean + sigma * step, 0.0, 1.0), z))
+            fitnesses = tracker.evaluate_vector_batch(
+                [candidate for candidate, _ in samples]
+            )
+            if len(fitnesses) < lam:
+                return
 
             order = np.argsort(fitnesses)[::-1][:mu]
             selected = [samples[i] for i in order]

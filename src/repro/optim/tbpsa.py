@@ -48,16 +48,13 @@ class TBPSA(Optimizer):
 
         while not tracker.exhausted:
             mu = max(1, lam // 2)
-            candidates = []
-            fitnesses = []
-            for _ in range(lam):
-                if tracker.exhausted:
-                    return
-                candidate = np.clip(
-                    mean + sigma * rng.standard_normal(dimension), 0.0, 1.0
-                )
-                candidates.append(candidate)
-                fitnesses.append(tracker.evaluate_vector(candidate))
+            candidates = [
+                np.clip(mean + sigma * rng.standard_normal(dimension), 0.0, 1.0)
+                for _ in range(lam)
+            ]
+            fitnesses = tracker.evaluate_vector_batch(candidates)
+            if len(fitnesses) < lam:
+                return
 
             order = np.argsort(fitnesses)[::-1][:mu]
             elite = np.array([candidates[i] for i in order])

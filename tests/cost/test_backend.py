@@ -1,8 +1,9 @@
 """The pluggable cost-backend seam and the ZigZag-style backend.
 
-The zigzag backend is an *independently coded* cost model, so these tests
-pin its contract rather than its exact numbers: the protocol surface the
-evaluator relies on, exact agreement with the analytic backend on the
+The zigzag backend is an *independently coded* per-layer cost model, so
+these tests pin its contract rather than its exact numbers: that it is a
+:class:`CostModel` with its own persistent-tier namespace and a single
+engine, exact agreement with the analytic backend on the
 shared modeling ground (footprint geometry, buffer sizing, PE counting,
 total loop trips), and the stationarity lower-bound relationship on the
 quantities the two models intentionally count differently.
@@ -13,11 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cost.backend import BACKENDS, CostBackend, create_backend
+from repro.arch.energy import EnergyModel
+from repro.arch.platform import get_platform
+from repro.cost.backend import BACKENDS, create_backend
+from repro.cost.engine import energy_coefficients
 from repro.cost.maestro import CostModel
+from repro.cost.persist import cache_namespace
 from repro.cost.zigzag import ZigZagCostModel
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.repair import repair_genome
+from repro.framework.evaluator import DesignEvaluator
 from repro.workloads.registry import get_model
 
 
@@ -56,8 +62,48 @@ class TestFactory:
         assert "timeloop" in message
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_every_backend_satisfies_the_protocol(self, name):
-        assert isinstance(create_backend(name), CostBackend)
+    def test_every_backend_is_a_cost_model(self, name):
+        assert isinstance(create_backend(name), CostModel)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("bytes_per_element", [1, 2])
+    def test_l2_namespace_is_pinned(self, name, bytes_per_element):
+        # Every L2 digest is scoped by this namespace: if it changed, every
+        # existing persistent store would silently turn into misses.
+        energy_model = EnergyModel()
+        backend = create_backend(
+            name, energy_model=energy_model, bytes_per_element=bytes_per_element
+        )
+        assert backend._l2_namespace == cache_namespace(
+            name, bytes_per_element, energy_coefficients(energy_model)
+        )
+
+    def test_backends_have_distinct_l2_namespaces(self):
+        analytic, zigzag = (create_backend(name) for name in BACKENDS)
+        assert analytic._l2_namespace != zigzag._l2_namespace
+
+
+class TestZigZagEngine:
+    """The zigzag backend has one engine; the reference engine is analytic."""
+
+    def test_reference_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            ZigZagCostModel(engine="reference")
+
+    def test_fitnesses_do_not_depend_on_the_engine(self):
+        model = get_model("ncf")
+        mappings = _random_mappings(model, 30, seed=11)
+
+        def fitnesses(backend, engine):
+            evaluator = DesignEvaluator(
+                model, get_platform("edge"), backend=backend, engine=engine
+            )
+            return [evaluator.evaluate_mapping(m).fitness for m in mappings]
+
+        zigzag = fitnesses("zigzag", "vector")
+        assert fitnesses("zigzag", "fast") == zigzag
+        assert fitnesses("zigzag", "reference") == zigzag
+        assert fitnesses("analytic", "reference") != zigzag
 
 
 class TestZigZagAgreement:

@@ -9,7 +9,7 @@ from repro.optim.one_plus_one import OnePlusOneES
 from repro.optim.pso import ParticleSwarm
 from repro.optim.random_search import RandomSearch
 from repro.optim.tbpsa import TBPSA
-from tests.optim.helpers import QuadraticTracker
+from tests.optim.helpers import BatchSpyTracker, QuadraticTracker
 
 ALL_OPTIMIZERS = [
     RandomSearch(),
@@ -32,6 +32,18 @@ class TestCommonBehaviour:
         tracker = QuadraticTracker(sampling_budget=300)
         optimizer.run(tracker, rng)
         assert tracker.best_fitness > tracker.first_sample_fitness()
+
+
+@pytest.mark.parametrize(
+    "optimizer",
+    [TBPSA(initial_population=8), CMAES(population_size=8)],
+    ids=lambda o: o.name,
+)
+def test_generations_are_priced_in_batches(optimizer, rng):
+    # 100 is not a multiple of the initial generation size of 8.
+    tracker = BatchSpyTracker(sampling_budget=100)
+    optimizer.run(tracker, rng)
+    assert tracker.evaluations == tracker.batched_evaluations == 100
 
 
 @pytest.mark.parametrize(

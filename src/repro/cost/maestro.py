@@ -631,21 +631,22 @@ class CostModel:
             else None
         )
         data = cache.data
-        hits = misses = 0
-        l2_served = 0
+        hits = 0
         entries: List = [None] * (num_designs * num_layers)
-        pending: Dict[bytes, int] = {}
+        # Every L1-missed first occurrence, in order: its values when the
+        # persistent tier served it, else its slot in the engine's output.
+        pending: Dict[bytes, object] = {}
         pending_digest: Dict[bytes, bytes] = {}
         pending_positions: List[int] = []
         for index in range(num_designs * num_layers):
             fingerprint = raw[index * step : index * step + step]
-            slot = pending.get(fingerprint)
-            if slot is not None:
+            entry = pending.get(fingerprint)
+            if entry is not None:
                 # Sequential evaluation would have resolved the first
                 # occurrence by now, so this lookup counts as a hit.
                 if cache_on:
                     hits += 1
-                entries[index] = slot
+                entries[index] = entry
                 continue
             if cache_on:
                 value = data.get(fingerprint)
@@ -659,14 +660,10 @@ class CostModel:
                     )
                     value = tier.get(digest)
                     if value is not None:
-                        # Served from the persistent tier: counted as an
-                        # L1 miss below (same counters as a cold run) and
-                        # inserted so later occurrences hit in-memory.
-                        l2_served += 1
+                        # Served from the persistent tier: still an L1
+                        # miss, inserted below like a cold run's row.
+                        pending[fingerprint] = value
                         entries[index] = value
-                        data[fingerprint] = value
-                        if len(data) > maxsize:
-                            data.popitem(last=False)
                         continue
                     pending_digest[fingerprint] = digest
             pending[fingerprint] = len(pending_positions)
@@ -692,18 +689,21 @@ class CostModel:
                 noc_bandwidth,
                 dram_bandwidth,
             )
-            if cache_on:
-                misses += len(pending_positions)
-                for fingerprint, slot in pending.items():
-                    row_values = values[slot]
-                    data[fingerprint] = row_values
-                    if len(data) > maxsize:
-                        data.popitem(last=False)
-                    if tier is not None:
-                        tier.put(pending_digest[fingerprint], row_values)
         if cache_on:
+            # Insert the misses only now, in first-occurrence order whoever
+            # priced them: evicting inside the loop could drop a row that a
+            # later row of this batch hits, and a warm run's L1 counters
+            # would then differ from its cold run's.
+            for fingerprint, entry in pending.items():
+                if type(entry) is int:
+                    entry = values[entry]
+                    if tier is not None:
+                        tier.put(pending_digest[fingerprint], entry)
+                data[fingerprint] = entry
+                if len(data) > maxsize:
+                    data.popitem(last=False)
             cache.hits += hits
-            cache.misses += misses + l2_served
+            cache.misses += len(pending)
         if tier is not None:
             tier.flush()
 

@@ -20,6 +20,17 @@ Hierarchy depth is a parameter, not an assumption: 1-level, 2-level and
 3+-level rows all ride the array pipeline (a batch has one depth, read off
 the matrix width).
 
+The arrays are short along the dimension axis: every per-dimension
+quantity is a ``(rows, 6)`` array, with rows in the hundreds to thousands.
+NumPy's axis-1 gathers, reductions and scans on such arrays pay a per-row
+overhead that costs more than the arithmetic they do.  So the rule here:
+dimension-axis gathers are flat ``take``/``put`` calls on row offsets
+(``6 * row + dimension``), and no reduction or scan runs along the 6-wide
+axis.  The loop-order prefix products are left-to-right column products,
+and the "last iterating loop" scan reads each row's six flags as a 6-bit
+mask indexed into a highest-set-bit table.  Every step still performs the
+same float64/int64 operations on the same operands in the same order.
+
 Bit-identical results are the contract (enforced by
 ``tests/cost/test_vector_engine.py``).  The scalar engine does its integer
 arithmetic exactly (Python ints) and rounds once when a quantity enters the
@@ -65,14 +76,30 @@ _EXACT_LIMIT = float(2**53) * (1.0 - 1e-9)
 #: the batch is simply evaluated by the scalar engine.
 MIN_VECTOR_ROWS = 8
 
-#: Positions 0..5 within a loop order (broadcast helper for the scans).
-_ORDER_POSITIONS = np.arange(6, dtype=np.int64)
+#: Bit weight of each of the six loop-order positions: a row's boolean flags
+#: times these weights is its 6-bit position mask.
+_POSITION_BITS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
+
+#: Highest set bit of every 6-bit position mask, -1 for the empty mask.
+_LAST_SET_BIT = np.array(
+    [mask.bit_length() - 1 for mask in range(64)], dtype=np.int64
+)
 
 #: Dimension-space mask of the reduction dimensions (for output "distinct"
 #: factors, mirroring ``spatial_distinct_factor``).
 _REDUCTION_MASK = np.array(
     [index in REDUCTION_INDEXES for index in range(6)], dtype=bool
 )
+
+
+def _last_set_position(flags: np.ndarray) -> np.ndarray:
+    """Position of each row's last True flag in a ``(n, 6)`` bool array.
+
+    -1 for a row with none.  The row's flags are read as a 6-bit mask and
+    looked up in :data:`_LAST_SET_BIT`, so no reduction runs along the
+    6-wide axis.
+    """
+    return _LAST_SET_BIT.take(flags.view(np.uint8) @ _POSITION_BITS)
 
 
 class VectorEngine:
@@ -243,8 +270,8 @@ class VectorEngine:
         # report_values order: latency, compute, noc, dram, macs, l2_to_l1,
         # dram_bytes, l1_access, energy, active_pes, num_pes,
         # l1_requirement, l2_requirement.
-        f = [float_columns[:, index].tolist() for index in range(8)]
-        g = [int_columns[:, index].tolist() for index in range(5)]
+        f = [column.tolist() for column in float_columns]
+        g = [column.tolist() for column in int_columns]
         tuples = list(
             zip(
                 f[0], f[1], f[2], f[3], g[0], f[4], f[5], f[6], f[7],
@@ -299,86 +326,95 @@ class VectorEngine:
         slots: np.ndarray,
         noc_bandwidth: float,
         dram_bandwidth: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[tuple, tuple, np.ndarray]:
         """The vectorized, depth-general evaluation.
 
         Mirrors ``engine._evaluate_two_level`` / ``engine._evaluate_general``
         operation for operation as a loop over hierarchy levels (the depth
         comes from the matrix width); see the module docstring for the
-        exactness argument behind the ``inexact`` flags.  Returns the float
-        columns (latency, compute, noc, dram, l2_to_l1, dram_bytes,
-        l1_access, energy), the integer columns (macs, active_pes, num_pes,
-        l1_requirement, l2_requirement) and the per-row inexactness flags.
+        exactness argument behind the ``inexact`` flags and for why the
+        6-wide dimension axis is only ever gathered from, never reduced
+        along.  Returns the float columns (latency, compute, noc, dram,
+        l2_to_l1, dram_bytes, l1_access, energy), the integer columns
+        (macs, active_pes, num_pes, l1_requirement, l2_requirement), each
+        a tuple of 1-D arrays, and the per-row inexactness flags.
         """
         (
             dims_table, stride_table, dw_table, macs_f_table, macs_i_table,
             out_f_table, w_table, i_table, o_table,
         ) = self._stacked_table()
-        dims = dims_table[slots]
-        stride = stride_table[slots]
-        depthwise = dw_table[slots]
-        w_mask = w_table[slots]
-        i_mask = i_table[slots]
-        o_mask = o_table[slots]
+        dims = dims_table.take(slots, axis=0)
+        stride = stride_table.take(slots)
+        depthwise = dw_table.take(slots)
+        w_mask = w_table.take(slots, axis=0)
+        i_mask = i_table.take(slots, axis=0)
+        o_mask = o_table.take(slots, axis=0)
 
+        count = len(matrix)
         num_levels = matrix.shape[1] // GENES_PER_LEVEL
+        # Every per-dimension array is (count, 6) and C-contiguous, so the
+        # element of row r at dimension d sits at flat offset rows[r] + d.
+        rows = np.arange(0, 6 * count, 6)
         spatial = []
         par = []
-        order = []
+        par_at = []  # flat offsets of each row's parallel dimension
+        order_at = []  # flat offsets of each row's dimensions in loop order
         tile = []
         for level in range(num_levels):
             base = level * GENES_PER_LEVEL
             spatial.append(matrix[:, base])
-            par.append(matrix[:, base + 1:base + 2])
-            order.append(matrix[:, base + 2:base + 8])
-            tile.append(matrix[:, base + 8:base + 14])
+            par.append(matrix[:, base + 1])
+            par_at.append(rows + par[level])
+            order_at.append(rows[:, None] + matrix[:, base + 2:base + 8])
+            tile.append(np.ascontiguousarray(matrix[:, base + 8:base + 14]))
 
-        inexact = np.zeros(len(matrix), dtype=bool)
+        inexact = np.zeros(count, dtype=bool)
 
         # -- per-level reuse analysis (engine: base/active/folds/trips) ----
-        def _analyze(parent, tile_l, par_l, spatial_l):
-            base = -(-parent // tile_l)
-            chunks = np.take_along_axis(base, par_l, 1)[:, 0]
-            active = np.minimum(spatial_l, chunks)
-            folds = -(-chunks // active)
-            trips = base.copy()
-            np.put_along_axis(trips, par_l, folds[:, None], 1)
-            covered = np.take_along_axis(tile_l, par_l, 1)[:, 0] * active
-            parent_extent = np.take_along_axis(parent, par_l, 1)[:, 0]
-            macro = tile_l.copy()
-            np.put_along_axis(
-                macro, par_l, np.minimum(parent_extent, covered)[:, None], 1
-            )
-            return trips, macro, active
-
         trips = []
         macros = []
         actives = []
         parent = dims
         for level in range(num_levels):
-            trips_l, macro_l, active_l = _analyze(
-                parent, tile[level], par[level], spatial[level]
-            )
+            at = par_at[level]
+            tile_l = tile[level]
+            trips_l = -(-parent // tile_l)
+            chunks = trips_l.take(at)
+            active = np.minimum(spatial[level], chunks)
+            trips_l.put(at, -(-chunks // active))
+            covered = tile_l.take(at) * active
+            macro = tile_l.copy()
+            macro.put(at, np.minimum(parent.take(at), covered))
             trips.append(trips_l)
-            macros.append(macro_l)
-            actives.append(active_l)
-            parent = tile[level]
+            macros.append(macro)
+            actives.append(active)
+            parent = tile_l
 
-        trips_in_order = []
+        # Trip counts in loop order, their running products (column by
+        # column, left to right) and whether each loop iterates.
         prefixes = []
         products = []
+        iterates = []
         for level in range(num_levels):
-            in_order = np.take_along_axis(
-                trips[level], order[level], 1
-            ).astype(np.float64)
-            prefix = np.cumprod(in_order, axis=1)
+            in_order = trips[level].take(order_at[level]).astype(np.float64)
+            prefix = np.empty_like(in_order)
+            prefix[:, 0] = in_order[:, 0]
+            for position in range(1, 6):
+                np.multiply(
+                    prefix[:, position - 1],
+                    in_order[:, position],
+                    out=prefix[:, position],
+                )
             product = prefix[:, 5]
             inexact |= product >= _EXACT_LIMIT
-            trips_in_order.append(in_order)
             prefixes.append(prefix)
             products.append(product)
+            iterates.append(in_order > 1.0)
 
-        inner_volume = np.cumprod(tile[-1].astype(np.float64), axis=1)[:, 5]
+        inner_tile = tile[-1].astype(np.float64)
+        inner_volume = inner_tile[:, 0]
+        for position in range(1, 6):
+            inner_volume = inner_volume * inner_tile[:, position]
         inexact |= inner_volume >= _EXACT_LIMIT
         total_steps = products[0]
         for level in range(1, num_levels):
@@ -418,17 +454,14 @@ class VectorEngine:
         inexact |= flagged
 
         # -- operand fetch scans (engine: _operand_fetches) ----------------
-        def _fetches(rel_in_order, trips_in_order, prefix):
-            iterating = rel_in_order & (trips_in_order > 1.0)
-            position = np.where(iterating, _ORDER_POSITIONS, -1).max(axis=1)
-            gathered = np.take_along_axis(
-                prefix, np.maximum(position, 0)[:, None], 1
-            )[:, 0]
+        def _fetches(mask, level):
+            # The trip prefix up to the innermost loop that iterates and
+            # is relevant to the operand; 1.0 when there is none.
+            position = _last_set_position(
+                mask.take(order_at[level]) & iterates[level]
+            )
+            gathered = prefixes[level].take(rows + np.maximum(position, 0))
             return np.where(position >= 0, gathered, 1.0)
-
-        rel_w0 = np.take_along_axis(w_mask, order[0], 1)
-        rel_i0 = np.take_along_axis(i_mask, order[0], 1)
-        rel_o0 = np.take_along_axis(o_mask, order[0], 1)
 
         bpe = self._bpe_f
         bpe_exact = self._bpe_exact
@@ -441,57 +474,53 @@ class VectorEngine:
         # add a second rounding, hence the ``bpe_exact`` guards.
 
         # -- off-chip traffic (engine: dram_bytes accumulation) ------------
-        out_elements = out_f_table[slots]
-        term = _fetches(rel_w0, trips_in_order[0], prefixes[0]) * macro_w
+        out_elements = out_f_table.take(slots)
+        term = _fetches(w_mask, 0) * macro_w
         if not bpe_exact:
             inexact |= term >= _EXACT_LIMIT
         dram_bytes = term * bpe
-        term = _fetches(rel_i0, trips_in_order[0], prefixes[0]) * macro_i
+        term = _fetches(i_mask, 0) * macro_i
         if not bpe_exact:
             inexact |= term >= _EXACT_LIMIT
         dram_bytes = dram_bytes + term * bpe
-        fetched_out = _fetches(rel_o0, trips_in_order[0], prefixes[0]) * macro_o
+        fetched_out = _fetches(o_mask, 0) * macro_o
         inexact |= fetched_out >= _EXACT_LIMIT  # feeds an exact subtraction
         spills = np.maximum(0.0, fetched_out - out_elements)
         dram_bytes = dram_bytes + (out_elements + 2.0 * spills) * bpe
 
         # -- NoC traffic (engine: l2_to_l1_bytes accumulation) -------------
+        # Each operand's "distinct" factor at depth d multiplies its
+        # per-level factors of levels 0..d-1 left to right; ``distinct``
+        # carries that running product from one depth to the next.
+        operands = ((w_mask, False), (i_mask, False), (o_mask, True))
         actives_f = [active.astype(np.float64) for active in actives]
-        pars_flat = [par_l[:, 0] for par_l in par]
 
-        def _distinct(mask, is_output, depth):
-            distinct = None
-            for level in range(depth):
-                at = np.take_along_axis(mask, par[level], 1)[:, 0]
-                if is_output:
-                    at = at | _REDUCTION_MASK[pars_flat[level]]
-                factor = np.where(at, actives_f[level], 1.0)
-                distinct = factor if distinct is None else distinct * factor
-            return distinct
+        def _distinct_factor(mask, is_output, level):
+            at = mask.take(par_at[level])
+            if is_output:
+                at = at | _REDUCTION_MASK.take(par[level])
+            return np.where(at, actives_f[level], 1.0)
 
-        l2_to_l1_bytes = np.zeros(len(matrix))
+        distinct = [
+            _distinct_factor(mask, is_output, 0) for mask, is_output in operands
+        ]
+        l2_to_l1_bytes = np.zeros(count)
         inner_w = inner_i = inner_o = None
         steps_above = products[0]
         for level_index in range(1, num_levels):
-            rel_w_l = np.take_along_axis(w_mask, order[level_index], 1)
-            rel_i_l = np.take_along_axis(i_mask, order[level_index], 1)
-            rel_o_l = np.take_along_axis(o_mask, order[level_index], 1)
             tile_w, tile_i, tile_o, flagged = _footprints(tile[level_index])
             inexact |= flagged
-            for footprint, rel_l, mask, is_output in (
-                (tile_w, rel_w_l, w_mask, False),
-                (tile_i, rel_i_l, i_mask, False),
-                (tile_o, rel_o_l, o_mask, True),
-            ):
-                term = steps_above * _fetches(
-                    rel_l, trips_in_order[level_index], prefixes[level_index]
-                )
+            for operand, footprint in enumerate((tile_w, tile_i, tile_o)):
+                mask, is_output = operands[operand]
+                term = steps_above * _fetches(mask, level_index)
                 inexact |= term >= _EXACT_LIMIT
                 term = term * footprint
                 inexact |= term >= _EXACT_LIMIT
-                distinct = _distinct(mask, is_output, level_index + 1)
-                inexact |= distinct >= _EXACT_LIMIT
-                term = term * distinct
+                distinct[operand] = distinct[operand] * _distinct_factor(
+                    mask, is_output, level_index
+                )
+                inexact |= distinct[operand] >= _EXACT_LIMIT
+                term = term * distinct[operand]
                 if not bpe_exact:
                     inexact |= term >= _EXACT_LIMIT
                 l2_to_l1_bytes = l2_to_l1_bytes + term * bpe
@@ -522,7 +551,7 @@ class VectorEngine:
         )
 
         # -- energy (engine: evaluate_layer tail) --------------------------
-        macs = macs_f_table[slots]
+        macs = macs_f_table.take(slots)
         inexact |= macs >= _EXACT_LIMIT
         mac_energy, l1_energy, l2_energy, dram_energy = self.energy
         l1_access_bytes = 2.0 * macs * bpe + l2_to_l1_bytes
@@ -560,27 +589,21 @@ class VectorEngine:
                 l2_requirement = l2_requirement + (partial + mid_o) * bpe
                 inexact |= l2_requirement >= _EXACT_LIMIT
 
-        float_columns = np.stack(
-            (
-                latency, compute_cycles, noc_cycles, dram_cycles,
-                l2_to_l1_bytes, dram_bytes, l1_access_bytes, energy_total,
-            ),
-            axis=1,
-        )
         active_pes = actives[0]
         num_pes = spatial[0]
         for level in range(1, num_levels):
             active_pes = active_pes * actives[level]
             num_pes = num_pes * spatial[level]
         safe = ~inexact
-        int_columns = np.stack(
-            (
-                macs_i_table[slots],
-                active_pes,
-                num_pes,
-                np.where(safe, l1_requirement, 0.0).astype(np.int64),
-                np.where(safe, l2_requirement, 0.0).astype(np.int64),
-            ),
-            axis=1,
+        float_columns = (
+            latency, compute_cycles, noc_cycles, dram_cycles,
+            l2_to_l1_bytes, dram_bytes, l1_access_bytes, energy_total,
+        )
+        int_columns = (
+            macs_i_table.take(slots),
+            active_pes,
+            num_pes,
+            np.where(safe, l1_requirement, 0.0).astype(np.int64),
+            np.where(safe, l2_requirement, 0.0).astype(np.int64),
         )
         return float_columns, int_columns, inexact

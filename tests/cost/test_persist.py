@@ -30,6 +30,7 @@ from repro.cost.persist import (
 )
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.genome_matrix import GenomeMatrix, mapping_from_row, repaired_matrix
+from repro.workloads.model import build_model
 from repro.workloads.statics import layer_statics
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.objective import Objective
@@ -468,6 +469,26 @@ class TestCostModelTiering:
             model.evaluate_layer(conv_layer, simple_mapping, NOC, DRAM)
             runs.append((model.layer_cache.hits, model.layer_cache.misses))
         assert runs[0] == runs[1] == (1, 1)
+
+    def test_matrix_path_l1_counters_match_cold_and_warm(
+        self, conv_layer, tmp_path
+    ):
+        # Rows the tier serves enter the L1 after the batch, like a cold
+        # run's priced rows: inserting c mid-batch would evict a before
+        # the second batch's a could hit it.
+        model = build_model("one", [conv_layer])
+        space = GenomeSpace.from_model(model, max_pes=256, num_levels=2)
+        population = space.random_population(3, np.random.default_rng(0))
+        a, b, c = repaired_matrix(GenomeMatrix.from_genomes(population), space).data
+        runs = []
+        for _ in range(2):
+            cost_model = CostModel(cache_size=2)
+            cost_model.attach_persistent_cache(PersistentLayerCache(tmp_path))
+            for batch in ([a, b], [c, a]):
+                cost_model.evaluate_model_matrix(model, np.array(batch), NOC, DRAM)
+            runs.append((cost_model.layer_cache.hits, cost_model.layer_cache.misses))
+            cost_model.layer_cache.tier.close()
+        assert runs[0] == runs[1] == (1, 3)
 
     def test_disabled_l1_keeps_tier_inactive(self, conv_layer, simple_mapping, tmp_path):
         model = CostModel(cache_size=0)

@@ -6,9 +6,9 @@ of every report — and therefore every fitness, cache entry and search
 trajectory — is *bit-identical* to the scalar fast engine and the seed
 reference implementation.  These tests sweep seeded random repaired
 genomes over real models and platforms and compare with ``==`` (no
-tolerances), and additionally exercise 1- and 3-level hierarchies and
-every scalar-fallback trigger: oversized layer statics, sub-threshold
-batches and 2**53-scale intermediates.
+tolerances), and additionally exercise 1-, 3- and 4-level hierarchies, a
+3-byte element width and every scalar-fallback trigger: oversized layer
+statics, sub-threshold batches and 2**53-scale intermediates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from repro.arch.platform import CLOUD, EDGE
 from repro.cost.maestro import CostModel, LazyModelPerformance
-from repro.cost.vector_engine import MIN_VECTOR_ROWS
+from repro.cost.vector_engine import MIN_VECTOR_ROWS, _last_set_position
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.repair import repair_genome, repaired_copy
 from repro.framework.evaluator import DesignEvaluator
@@ -130,17 +130,24 @@ class TestBatchMatchesScalar:
 
 
 class TestScalarFallbacks:
-    @pytest.mark.parametrize("num_levels", [1, 3])
-    def test_non_default_hierarchy_depths(self, num_levels):
-        # Depth is a parameter, not a fallback trigger: 1- and 3-level
-        # batches ride the vector path and match the scalar engine exactly.
-        model = get_model("ncf")
+    @pytest.mark.parametrize("bytes_per_element", [1, 3])
+    @pytest.mark.parametrize("num_levels", [1, 3, 4])
+    @pytest.mark.parametrize("model_name", ["ncf", "mobilenet_v2"])
+    def test_non_default_hierarchy_depths(
+        self, model_name, num_levels, bytes_per_element
+    ):
+        # Depth is a parameter, not a fallback trigger: 1-, 3- and 4-level
+        # batches ride the vector path and match the scalar engine exactly,
+        # on GEMM layers (ncf) and on depthwise and strided convs
+        # (mobilenet_v2), and at an element width that is not a power of
+        # two, which takes the engine's extra exactness flags.
+        model = get_model(model_name)
         mappings = _random_mappings(model, 8, seed=11, num_levels=num_levels)
-        batch_model = CostModel()
+        batch_model = CostModel(bytes_per_element=bytes_per_element)
         batch = batch_model.evaluate_model_matrix(
             model, pack_mappings(mappings), 64.0, 16.0
         )
-        scalar_model = CostModel()
+        scalar_model = CostModel(bytes_per_element=bytes_per_element)
         for mapping, batch_performance in zip(mappings, batch):
             scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
             _assert_reports_identical(batch_performance, scalar)
@@ -242,6 +249,16 @@ class TestScalarFallbacks:
                 scalar.evaluate_model(model, mapping, 64.0, 16.0),
             )
         assert batch_model.vector_stats["rows_vectorized"] == 0
+
+
+class TestLastSetPosition:
+    def test_every_six_bit_mask(self):
+        # The engine's operand-fetch scan reads each row's flags as a 6-bit
+        # mask; over all 64 masks the table lookup must equal the plain
+        # last-True-position scan, -1 for the empty mask included.
+        masks = ((np.arange(64)[:, None] >> np.arange(6)) & 1) == 1
+        expected = np.where(masks, np.arange(6), -1).max(axis=1)
+        assert _last_set_position(masks).tolist() == expected.tolist()
 
 
 class TestMappingFromCacheKey:

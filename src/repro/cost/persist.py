@@ -43,23 +43,22 @@ packed little-endian in that order (a ``struct.Struct`` per type
 signature).  A 13-value layer report makes a 184-byte line, and
 integers outside int64 are not stored (such a row stays in the L1 only).
 
-Writes follow the :class:`~repro.experiments.runner.ResultStore`
-discipline: one ``write`` syscall per flush on an ``O_APPEND`` descriptor
-(concurrent writers never interleave bytes, and each writer takes its
-records' offsets from where that write actually landed), partial
-trailing lines healed by prefixing a newline, undecodable lines counted
-and reported via :class:`PersistentCacheCorruption` — a damaged record
-is *never served*; lookups re-verify the stored digest before returning a
-row.  The binary index sidecar is a rebuildable accelerator covering a
-prefix of the data file: it claims only bytes whose rows its writer
-indexed, so rows other writers appended past that prefix are picked up
-by the next opener's tail scan, and any inconsistency (torn entry, stale
-header, wrong version) discards it and rescans the data file, which
-remains the single source of truth.  A data file whose header does not
-match :data:`FORMAT_NAME`/:data:`KEY_VERSION` — including every store
-written in the earlier JSON-record format — is quarantined (renamed
-aside) once and the cache starts fresh, re-pricing its rows, rather than
-risk serving rows keyed or encoded under different rules.
+Both files are written under the rules of :mod:`repro.durable`: each
+flush is one append of whole lines, whose records take their offsets
+from where that append actually landed, and the index is replaced
+atomically.  Undecodable lines are counted and reported via
+:class:`PersistentCacheCorruption` — a damaged record is *never served*;
+lookups re-verify the stored digest before returning a row.  The binary
+index sidecar is a rebuildable accelerator covering a prefix of the data
+file: it claims only bytes whose rows its writer indexed, so rows other
+writers appended past that prefix are picked up by the next opener's
+tail scan, and any inconsistency (torn entry, stale header, wrong
+version) discards it and rescans the data file, which remains the single
+source of truth.  A data file whose header does not match
+:data:`FORMAT_NAME`/:data:`KEY_VERSION` — including every store written
+in the earlier JSON-record format — is quarantined once and the cache
+starts fresh, re-pricing its rows, rather than risk serving rows keyed or
+encoded under different rules.
 """
 
 from __future__ import annotations
@@ -73,6 +72,8 @@ import warnings
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from repro import durable
+
 #: Bump when the digest composition or the record layout changes; stores
 #: written under another version are quarantined, never reinterpreted.
 #: Version 2 replaced the JSON ``{"k", "v"}`` records with packed base64
@@ -85,6 +86,12 @@ FORMAT_NAME = "repro-layer-cache"
 #: File names inside the cache directory.
 DATA_FILE = "layers.jsonl"
 INDEX_FILE = "layers.index"
+
+#: First line of every data file.
+_HEADER = (
+    json.dumps({"format": FORMAT_NAME, "version": 1, "key_version": KEY_VERSION})
+    + "\n"
+).encode()
 
 _INDEX_MAGIC = b"RPLC"
 _INDEX_VERSION = 1
@@ -292,19 +299,14 @@ class PersistentLayerCache:
     instance across sweep jobs (via ``adopt_cache``) is safe even when a
     finished job closes its evaluator.
 
-    Instances pickle as (directory, durability) and reopen lazily on the
-    other side, so worker processes of an evaluation pool read and append
-    the same store; the ``O_APPEND`` single-write discipline keeps
-    concurrent appends intact at line granularity.
+    Instances pickle as their directory and reopen lazily on the other
+    side, so worker processes of an evaluation pool read and append the
+    same store; :func:`repro.durable.append` keeps concurrent appends
+    intact at line granularity.
     """
 
-    def __init__(self, directory, durability: str = "flush"):
-        if durability not in ("flush", "fsync"):
-            raise ValueError(
-                f"durability must be 'flush' or 'fsync', got {durability!r}"
-            )
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.durability = durability
         #: Tier counters (this process; workers count in their own copy).
         self.l2_hits = 0
         self.l2_misses = 0
@@ -396,39 +398,23 @@ class PersistentLayerCache:
         """Append all buffered rows as one crash-safe ``write`` syscall."""
         if not self._buffer:
             return
-        descriptor = self._ensure_descriptor()
-        size = os.fstat(descriptor).st_size
-        prefix = b""
-        if size > 0 and os.pread(descriptor, 1, size - 1) != b"\n":
-            # A previous writer died mid-line: close its partial line so
-            # one crash can never corrupt two records.
-            prefix = b"\n"
         lines = [
             _encode_record(digest, codes, payload)
             for digest, (_, codes, payload) in self._buffer.items()
         ]
-        data = prefix + b"".join(lines)
-        written = os.write(descriptor, data)
-        # O_APPEND placed the write at the end of the file as it stood
-        # then, past anything another writer appended since the fstat
-        # above; the descriptor's offset now sits right after the bytes
-        # written, which pins where these records really start.
-        start = os.lseek(descriptor, 0, os.SEEK_CUR) - written
-        view = memoryview(data)[written:]
-        while view:  # short writes (ENOSPC, signals) must not truncate
-            view = view[os.write(descriptor, view) :]
-        if self.durability == "fsync":
-            os.fsync(descriptor)
+        start, newline, whole = durable.append(
+            self._ensure_descriptor(), b"".join(lines)
+        )
         offsets = self._offsets
-        cursor = start + len(prefix)
+        cursor = start + newline
         for digest, line in zip(self._buffer, lines):
             offsets[digest] = (cursor, len(line))
             cursor += len(line)
-        if start == self._known_end and written == len(data):
+        if start == self._known_end and whole:
             # Nothing foreign landed since this instance last saw the end
             # of the file (a partial line it scanned is now closed by the
-            # prefix), so the index may claim these bytes too.
-            self._covered = self._known_end = start + len(data)
+            # newline), so the index may claim these bytes too.
+            self._covered = self._known_end = cursor
         self._buffer.clear()
 
     def close(self) -> None:
@@ -492,31 +478,12 @@ class PersistentLayerCache:
 
     def _open(self) -> None:
         """Load (or initialize) the store: header check, index, tail scan."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.data_path
         if path.exists() and path.stat().st_size > 0 and not self._header_ok():
             self._quarantine()
-        if not path.exists() or path.stat().st_size == 0:
-            header = (
-                json.dumps(
-                    {
-                        "format": FORMAT_NAME,
-                        "version": 1,
-                        "key_version": KEY_VERSION,
-                    }
-                )
-                + "\n"
-            ).encode()
-            descriptor = os.open(
-                path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            try:
-                if os.fstat(descriptor).st_size == 0:
-                    view = memoryview(header)
-                    while view:
-                        view = view[os.write(descriptor, view) :]
-            finally:
-                os.close(descriptor)
+        descriptor = self._ensure_descriptor()
+        if os.fstat(descriptor).st_size == 0:
+            durable.append(descriptor, _HEADER)
         offsets: Dict[bytes, Tuple[int, int]] = {}
         corrupt, covered, end = self._scan_data(
             self._load_index(offsets) or 0, offsets
@@ -549,20 +516,14 @@ class PersistentLayerCache:
 
     def _quarantine(self) -> None:
         """Move a mismatched/unreadable store aside and start fresh."""
-        for path in (self.data_path, self.index_path):
-            if path.exists():
-                target = path.with_name(path.name + ".quarantined")
-                suffix = 0
-                while target.exists():
-                    suffix += 1
-                    target = path.with_name(
-                        f"{path.name}.quarantined.{suffix}"
-                    )
-                os.replace(path, target)
+        target = durable.quarantine(self.data_path, ".quarantined")
+        if self.index_path.exists():
+            durable.quarantine(self.index_path, ".quarantined")
         warnings.warn(
             f"{self.data_path}: header does not match "
-            f"{FORMAT_NAME} v{KEY_VERSION}; quarantined the old store and "
-            "started fresh (rows keyed under other rules are never served)",
+            f"{FORMAT_NAME} v{KEY_VERSION}; quarantined the old store to "
+            f"{target.name} and started fresh (rows keyed under other rules "
+            "are never served)",
             PersistentCacheCorruption,
             stacklevel=3,
         )
@@ -609,7 +570,7 @@ class PersistentLayerCache:
         return covered
 
     def _write_index(self) -> None:
-        """Atomically persist the offset table (temp + fsync + replace).
+        """Atomically replace the index with this instance's offset table.
 
         The index claims only the data prefix this instance has fully
         indexed, so rows another writer appended beyond it are found by
@@ -627,22 +588,7 @@ class PersistentLayerCache:
                 _INDEX_MAGIC, _INDEX_VERSION, KEY_VERSION, covered, len(pieces)
             ),
         )
-        data = b"".join(pieces)
-        # Per-process temp name: writers closing at once never share it.
-        replacement = self.index_path.with_name(
-            f"{self.index_path.name}.{os.getpid()}.tmp"
-        )
-        descriptor = os.open(
-            replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-        )
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(descriptor, view) :]
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        os.replace(replacement, self.index_path)
+        durable.replace(self.index_path, b"".join(pieces))
 
     def _scan_data(
         self, start: int, offsets: Dict[bytes, Tuple[int, int]]
@@ -695,19 +641,16 @@ class PersistentLayerCache:
 
     def _ensure_descriptor(self) -> int:
         if self._descriptor is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._descriptor = os.open(
-                self.data_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
-            )
+            self._descriptor = durable.open_log(self.data_path)
         return self._descriptor
 
     # -- pickling (worker pools share the store by path) -------------------
 
     def __getstate__(self) -> dict:
-        return {"directory": str(self.directory), "durability": self.durability}
+        return {"directory": str(self.directory)}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["directory"], state.get("durability", "flush"))
+        self.__init__(state["directory"])
 
     def __del__(self) -> None:
         try:

@@ -5,13 +5,13 @@ model x platform x optimizer loop, framework lifecycle and argparse each.
 This module is the shared engine they now compile into:
 
 * :class:`ResultStore` — an append-only JSONL store of completed searches
-  (one ``{"job_id", "spec", "result"}`` record per line, written and
-  flushed as soon as each search finishes, so a killed sweep loses at most
-  the in-flight job).  Failed attempts are stored too, as structured
-  failure records, and loads tolerate corruption: undecodable lines are
-  counted, warned about and quarantined into ``<store>.corrupt`` instead
-  of silently dropped (``verify()`` / ``repair()`` expose the same checks
-  programmatically and through ``--verify-store``).
+  (one ``{"job_id", "spec", "result"}`` record per line, appended through
+  :mod:`repro.durable` as soon as each search finishes, so a killed sweep
+  loses at most the in-flight job).  Failed attempts are stored too, as
+  structured failure records, and loads tolerate corruption: undecodable
+  lines are counted, warned about and quarantined into ``<store>.corrupt``
+  instead of silently dropped (``verify()`` / ``repair()`` expose the same
+  checks programmatically and through ``--verify-store``).
 * :class:`SweepRunner` — executes a list of :class:`JobSpec` jobs through
   shared :class:`CoOptimizationFramework` instances (one per
   model/platform/constraint combination, so evaluation caches and worker
@@ -45,6 +45,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import durable
 from repro.experiments.faults import SweepAborted
 from repro.experiments.jobs import (
     BACKENDS,
@@ -135,10 +136,11 @@ class ResultStore:
     quarantined into ``<store>.corrupt`` on load, so a store surviving a
     crash is always resumable and never *silently* lossy.
 
+    Appends and repairs follow the rules of :mod:`repro.durable`.
     ``durability`` selects how hard appends push each record toward disk:
-    ``"flush"`` (default) performs one unbuffered ``write`` syscall on an
-    ``O_APPEND`` descriptor; ``"fsync"`` additionally forces the record to
-    stable storage before the append returns.
+    ``"flush"`` (default) ends with the one ``write`` of the record;
+    ``"fsync"`` additionally forces it to stable storage before the append
+    returns.
     """
 
     def __init__(self, path: Union[str, Path], durability: str = "flush"):
@@ -209,55 +211,45 @@ class ResultStore:
         self._append_record(record)
 
     def _append_record(self, record: dict) -> None:
-        """Atomically append one record as a self-contained JSONL line.
+        """Append one record as a self-contained JSONL line.
 
-        The record is emitted as one ``write`` syscall on an ``O_APPEND``
-        descriptor (not through buffered text I/O, which splits multi-KB
-        records into several syscalls), so shard processes sharing one
-        store file do not interleave each other's lines.  If a previous
-        writer died mid-line, the new record first closes the partial line
-        with a newline, so one crash can never corrupt two records.  With
-        ``durability="fsync"`` the record is forced to stable storage
-        before the append returns.
+        One :func:`repro.durable.append`, so shard processes sharing one
+        store file never interleave each other's lines.
         """
         data = (json.dumps(record, sort_keys=True) + "\n").encode()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # O_RDWR (not O_WRONLY): the partial-line check below preads the
-        # current last byte through the same descriptor.
-        descriptor = os.open(
-            self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
-        )
+        self._append_lines(self.path, data, fsync=self.durability == "fsync")
+
+    @staticmethod
+    def _append_lines(path: Path, data: bytes, fsync: bool = False) -> None:
+        """Append whole lines to ``path`` through a descriptor of their own."""
+        descriptor = durable.open_log(path)
         try:
-            size = os.fstat(descriptor).st_size
-            if size > 0 and hasattr(os, "pread"):
-                if os.pread(descriptor, 1, size - 1) != b"\n":
-                    data = b"\n" + data
-            view = memoryview(data)
-            while view:  # short writes (ENOSPC mid-write, signals) must not
-                view = view[os.write(descriptor, view) :]  # silently truncate
-            if self.durability == "fsync":
-                os.fsync(descriptor)
+            durable.append(descriptor, data, fsync)
         finally:
             os.close(descriptor)
 
-    def _scan(self) -> Tuple[List[Tuple[int, str, dict]], List[Tuple[int, str]]]:
+    def _scan(self) -> Tuple[List[Tuple[int, bytes, dict]], List[Tuple[int, bytes]]]:
         """Parse the store without side effects.
 
         Returns ``(good, corrupt)``: well-formed records as ``(line_number,
         raw_line, parsed)`` triples and undecodable lines as
-        ``(line_number, raw_line)`` pairs, both in file order.
+        ``(line_number, raw_line)`` pairs, both in file order.  A line that
+        is not UTF-8, not JSON or not a JSON object is undecodable.
         """
         if not self.path.exists():
             return [], []
-        good: List[Tuple[int, str, dict]] = []
-        corrupt: List[Tuple[int, str]] = []
-        for number, line in enumerate(self.path.read_text().splitlines(), 1):
-            stripped = line.strip()
-            if not stripped:
+        good: List[Tuple[int, bytes, dict]] = []
+        corrupt: List[Tuple[int, bytes]] = []
+        for number, line in enumerate(self.path.read_bytes().split(b"\n"), 1):
+            if not line.strip():
                 continue
             try:
-                good.append((number, line, json.loads(stripped)))
-            except json.JSONDecodeError:
+                record = json.loads(line.decode())
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                good.append((number, line, record))
+            else:
                 corrupt.append((number, line))
         return good, corrupt
 
@@ -284,20 +276,21 @@ class ResultStore:
             )
         return [record for _, _, record in good]
 
-    def _quarantine(self, corrupt: List[Tuple[int, str]]) -> int:
+    def _quarantine(self, corrupt: List[Tuple[int, bytes]]) -> int:
         """Copy undecodable lines into the ``.corrupt`` side file (deduped).
 
-        Returns how many lines were newly quarantined; lines already in the
-        side file (repeated loads of the same damaged store) are not
-        duplicated.
+        The raw bytes are appended as they were.  Returns how many lines
+        were newly quarantined; lines already in the side file (repeated
+        loads of the same damaged store) are not duplicated.
         """
         known = set()
         if self.corrupt_path.exists():
-            known = set(self.corrupt_path.read_text().splitlines())
+            known = set(self.corrupt_path.read_bytes().split(b"\n"))
         fresh = [line for _, line in corrupt if line not in known]
         if fresh:
-            with self.corrupt_path.open("a") as handle:
-                handle.write("".join(line + "\n" for line in fresh))
+            self._append_lines(
+                self.corrupt_path, b"".join(line + b"\n" for line in fresh)
+            )
         return len(fresh)
 
     def verify(self) -> dict:
@@ -331,28 +324,18 @@ class ResultStore:
     def repair(self) -> dict:
         """Drop undecodable lines from the store, quarantining them first.
 
-        Well-formed lines are preserved byte-for-byte; the cleaned store is
-        written to a temporary file, fsynced and atomically renamed over
-        the original, so a crash mid-repair leaves either the old or the
-        new store — never a half-written one.  Returns a report with the
-        number of ``removed_lines``.
+        Well-formed lines are preserved byte-for-byte; the cleaned store
+        replaces the original atomically (:func:`repro.durable.replace`),
+        so a crash mid-repair leaves either the old or the new store —
+        never a half-written one.  Returns a report with the number of
+        ``removed_lines``.
         """
         good, corrupt = self._scan()
         if corrupt:
             self._quarantine(corrupt)
-            replacement = self.path.with_name(self.path.name + ".repair")
-            data = "".join(line + "\n" for _, line, _ in good).encode()
-            descriptor = os.open(
-                replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
+            durable.replace(
+                self.path, b"".join(line + b"\n" for _, line, _ in good)
             )
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(descriptor, view) :]
-                os.fsync(descriptor)
-            finally:
-                os.close(descriptor)
-            os.replace(replacement, self.path)
         return {
             "path": str(self.path),
             "records": len(good),

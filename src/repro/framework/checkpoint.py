@@ -19,21 +19,19 @@ fresh process with cold caches is the tested cache-on/off invariance, so
 resume stays bit-identical while checkpoints stay small — that is the
 "invalidation token" design (the token is the absence of the caches).
 
-Durability follows the ``ResultStore`` / ``PersistentLayerCache``
-discipline: a checkpoint is one JSON payload behind a versioned header
-carrying its SHA-1 digest, written to a temporary file, fsynced and
-atomically ``os.replace``d into place — a crash mid-save leaves the previous
-checkpoint intact.  Loads verify format, version and digest; anything wrong
-quarantines the file to ``<name>.corrupt`` with a
-:class:`CheckpointCorruption` warning and the search starts fresh — a
-corrupt checkpoint can cost progress, never correctness.
+A checkpoint is one JSON payload behind a versioned header carrying its
+SHA-1 digest.  Saves replace the file atomically and damaged files are
+quarantined, both through :mod:`repro.durable`, so a crash mid-save leaves
+the previous checkpoint intact.  Loads verify format, version and digest;
+anything wrong quarantines the file with a :class:`CheckpointCorruption`
+warning and the search starts fresh — a corrupt checkpoint can cost
+progress, never correctness.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,6 +40,7 @@ from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
+from repro import durable
 from repro.framework.pareto import ParetoArchive
 from repro.serialization import (
     evaluation_result_from_dict,
@@ -161,9 +160,9 @@ class CheckpointStore:
 
     The file holds two lines: a JSON header (``format`` / ``version`` /
     ``digest`` / ``payload_bytes``) and the JSON payload the digest covers.
-    Saves go through a temporary file + ``fsync`` + ``os.replace``, so a
-    reader (or a crash) always sees a complete previous or complete new
-    checkpoint, never a torn one.
+    Saves go through :func:`repro.durable.replace`, so a reader (or a
+    crash) always sees a complete previous or complete new checkpoint,
+    never a torn one.
     """
 
     def __init__(self, directory: Union[str, Path], key: str):
@@ -173,7 +172,7 @@ class CheckpointStore:
 
     @property
     def corrupt_path(self) -> Path:
-        """Where a damaged checkpoint is quarantined for post-mortems."""
+        """First quarantine name of a damaged checkpoint (then ``.1``, ...)."""
         return self.path.with_name(self.path.name + ".corrupt")
 
     def save(self, checkpoint: SearchCheckpoint) -> None:
@@ -188,20 +187,7 @@ class CheckpointStore:
             },
             sort_keys=True,
         ).encode()
-        data = header + b"\n" + payload + b"\n"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        staging = self.path.with_name(self.path.name + ".tmp")
-        descriptor = os.open(
-            staging, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-        )
-        try:
-            view = memoryview(data)
-            while view:  # short writes must not tear the staging file
-                view = view[os.write(descriptor, view) :]
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        os.replace(staging, self.path)
+        durable.replace(self.path, header + b"\n" + payload + b"\n")
 
     def load(self) -> Optional[SearchCheckpoint]:
         """The stored checkpoint, or ``None`` (missing *or* quarantined).
@@ -246,8 +232,7 @@ class CheckpointStore:
 
     def _quarantine(self, error: Exception) -> None:
         try:
-            os.replace(self.path, self.corrupt_path)
-            moved = f"quarantined to {self.corrupt_path}"
+            moved = f"quarantined to {durable.quarantine(self.path, '.corrupt')}"
         except OSError:
             moved = "and could not be quarantined"
         warnings.warn(

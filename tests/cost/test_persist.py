@@ -100,17 +100,12 @@ class TestStoreRoundtrip:
         assert PersistentLayerCache(tmp_path).get(_digest("late")) == (9,)
 
     def test_pickles_by_path_not_contents(self, tmp_path):
-        cache = PersistentLayerCache(tmp_path, durability="fsync")
+        cache = PersistentLayerCache(tmp_path)
         _fill(cache, 3)
         cache.close()
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.durability == "fsync"
         assert clone.counters()["l2_hits"] == 0  # counters are per-process
         assert clone.get(_digest("row1")) == (1, 1.5, 3)
-
-    def test_rejects_unknown_durability(self, tmp_path):
-        with pytest.raises(ValueError, match="durability"):
-            PersistentLayerCache(tmp_path, durability="yolo")
 
 
 class TestCorruptionHandling:

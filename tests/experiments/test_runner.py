@@ -112,23 +112,30 @@ class TestResultStore:
 
     def test_corrupt_lines_are_counted_and_quarantined(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        path.write_text(
-            '{"job_id": "a", "spec": {}, "result": 1}\n'
-            "не-json мусор\n"
-            '{"job_id": "b", "spec": {}, "result": 2}\n'
-            '{"job_id": "truncated", "sp'
+        path.write_bytes(
+            b'{"job_id": "a", "spec": {}, "result": 1}\n'
+            + "не-json мусор\n".encode()
+            + b'{"job_id": "b", "spec": {}, "result": 2}\n'
+            b'{"job_id": "\xff"}\n'  # not UTF-8
+            b"[1, 2]\n"  # JSON, but not a record
+            b'{"job_id": "truncated", "sp'
         )
         store = ResultStore(path)
-        with pytest.warns(ResultStoreCorruption, match="2 undecodable"):
+        with pytest.warns(ResultStoreCorruption, match="4 undecodable"):
             records = store.records()
         assert [record["job_id"] for record in records] == ["a", "b"]
-        assert store.skipped_lines == 2
-        quarantined = store.corrupt_path.read_text().splitlines()
-        assert quarantined == ["не-json мусор", '{"job_id": "truncated", "sp']
+        assert store.skipped_lines == 4
+        quarantined = store.corrupt_path.read_bytes().splitlines()
+        assert quarantined == [
+            "не-json мусор".encode(),
+            b'{"job_id": "\xff"}',
+            b"[1, 2]",
+            b'{"job_id": "truncated", "sp',
+        ]
         # Re-reading the same damaged store does not duplicate quarantines.
         with pytest.warns(ResultStoreCorruption):
             store.records()
-        assert store.corrupt_path.read_text().splitlines() == quarantined
+        assert store.corrupt_path.read_bytes().splitlines() == quarantined
 
     def test_append_heals_a_partial_trailing_line(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -151,27 +158,32 @@ class TestResultStore:
         store = ResultStore(path)
         jobs = compile_fig5_jobs("edge", TINY, ("random",))
         SweepRunner(jobs, settings=TINY, store=store).run()
-        good_line = path.read_text()
-        path.write_text(good_line + '{"cut-off-mid-wri')
+        good_line = path.read_bytes()
+        path.write_bytes(good_line + b"\xff bit rot\n" + b'{"cut-off-mid-wri')
         report = store.verify()
         assert not report["ok"]
         assert report["records"] == 1
-        assert report["corrupt_lines"] == 1
-        assert report["corrupt_line_numbers"] == [2]
+        assert report["corrupt_lines"] == 2
+        assert report["corrupt_line_numbers"] == [2, 3]
         assert report["jobs"] == {
             "ok": 1, "failed": 0, "quarantined": 0, "interrupted": 0,
         }
 
         repair_report = store.repair()
-        assert repair_report["removed_lines"] == 1
-        # Good lines survive byte-for-byte; the bad one is quarantined.
-        assert path.read_text() == good_line
-        assert '{"cut-off-mid-wri' in store.corrupt_path.read_text()
+        assert repair_report["removed_lines"] == 2
+        # Good lines survive byte-for-byte; the bad ones are quarantined.
+        assert path.read_bytes() == good_line
+        assert store.corrupt_path.read_bytes() == (
+            b"\xff bit rot\n" b'{"cut-off-mid-wri\n'
+        )
         clean = store.verify()
         assert clean["ok"] and clean["corrupt_lines"] == 0
         # Repairing a clean store is a no-op.
         assert store.repair()["removed_lines"] == 0
-        assert path.read_text() == good_line
+        assert path.read_bytes() == good_line
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "sweep.jsonl", "sweep.jsonl.corrupt",
+        ]
 
     def test_failure_records_change_status_not_completed_ids(self, tmp_path):
         store = ResultStore(tmp_path / "sweep.jsonl")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +153,16 @@ class TestCheckpointStore:
         with pytest.warns(CheckpointCorruption):
             assert store.load() is None
         assert store.corrupt_path.exists()
+
+    def test_repeated_quarantines_keep_every_copy(self, tmp_path):
+        store = CheckpointStore(tmp_path, "key")
+        second = store.corrupt_path.with_name(store.corrupt_path.name + ".1")
+        for number, target in enumerate((store.corrupt_path, second)):
+            store.path.write_bytes(b"damaged %d\n" % number)
+            with pytest.warns(CheckpointCorruption, match=re.escape(str(target))):
+                assert store.load() is None
+        assert store.corrupt_path.read_bytes() == b"damaged 0\n"
+        assert second.read_bytes() == b"damaged 1\n"
 
     def test_slug_is_filesystem_safe_and_collision_resistant(self):
         a = checkpoint_slug("ncf/edge/latency/DiGamma/b120/s3")

@@ -1,9 +1,9 @@
-"""Crash and concurrency tests of the three durable on-disk stores.
+"""Tests of :mod:`repro.durable` and the three stores written through it.
 
 The sweep result store (JSONL records), the persistent layer cache (packed
 L2 lines plus their index) and search checkpoints (a header and the
-payload it digests) follow one set of durability rules.  Two properties
-pin them:
+payload it digests) keep their formats and share the module's durability
+rules.  Beside unit tests of each primitive, two properties pin them:
 
 * **crash at every offset.**  Each store's file is truncated at every byte
   k, as a writer killed mid-write would leave it, and reopened.  The store
@@ -21,14 +21,17 @@ import base64
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
 import struct
 import warnings
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import durable
 from repro.cost.persist import PersistentCacheCorruption, PersistentLayerCache
 from repro.experiments.runner import ResultStore, ResultStoreCorruption
 from repro.framework.checkpoint import (
@@ -41,6 +44,69 @@ from repro.framework.checkpoint import (
 
 def _digest(tag: str) -> bytes:
     return hashlib.sha1(tag.encode()).digest()
+
+
+# -- the primitives ------------------------------------------------------------
+
+
+class TestPrimitives:
+    def test_append_reports_where_it_landed(self, tmp_path):
+        path = tmp_path / "new" / "log"
+        descriptor = durable.open_log(path)
+        try:
+            assert durable.append(descriptor, b"one\n") == (0, 0, True)
+            os.write(descriptor, b"torn")  # a writer died mid-line
+            assert durable.append(descriptor, b"two\n", fsync=True) == (8, 1, True)
+        finally:
+            os.close(descriptor)
+        assert path.read_bytes() == b"one\ntorn\ntwo\n"
+
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(
+            os, "write", lambda descriptor, data: real_write(descriptor, data[:3])
+        )
+        descriptor = durable.open_log(tmp_path / "log")
+        try:
+            assert durable.append(descriptor, b"a long line\n") == (0, 0, False)
+        finally:
+            os.close(descriptor)
+        durable.replace(tmp_path / "blob", b"the whole content")
+        monkeypatch.undo()
+        assert (tmp_path / "log").read_bytes() == b"a long line\n"
+        assert (tmp_path / "blob").read_bytes() == b"the whole content"
+
+    def test_replace_renames_a_per_process_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "blob"
+        target.write_bytes(b"old")
+        staged = []
+        real_replace = os.replace
+
+        def spying_replace(source, destination):
+            staged.append((Path(source).name, Path(source).read_bytes()))
+            assert target.read_bytes() == b"old"  # untouched until the rename
+            return real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", spying_replace)
+        durable.replace(target, b"new")
+        monkeypatch.undo()
+        assert staged == [(f"blob.{os.getpid()}.tmp", b"new")]
+        assert target.read_bytes() == b"new"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["blob"]
+
+    def test_quarantine_never_overwrites_a_copy(self, tmp_path):
+        path = tmp_path / "store"
+        targets = []
+        for number in range(3):
+            path.write_bytes(b"copy %d" % number)
+            targets.append(durable.quarantine(path, ".bad"))
+        assert not path.exists()
+        assert [target.name for target in targets] == [
+            "store.bad", "store.bad.1", "store.bad.2",
+        ]
+        assert [target.read_bytes() for target in targets] == [
+            b"copy 0", b"copy 1", b"copy 2",
+        ]
 
 
 # -- crash at every offset -----------------------------------------------------

@@ -5,7 +5,9 @@ analysis on tuples and sits behind a memo; the hard invariant of the
 evaluation-engine refactor is that every field of every
 :class:`LayerPerformance` stays *bit-identical* to the original dict-based
 implementation.  These tests sweep seeded random repaired genomes over real
-models and platforms and compare with ``==`` (no tolerances).
+models and platforms and compare every field's type and bits (no
+tolerances): an int where the reference has a float, or a float that
+differs in its last bit, fails.
 """
 
 from __future__ import annotations
@@ -32,12 +34,27 @@ def _assert_identical(fast_report, reference_report):
     for field in fields(fast_report):
         fast_value = getattr(fast_report, field.name)
         reference_value = getattr(reference_report, field.name)
+        assert type(fast_value) is type(reference_value), (
+            f"{field.name}: fast={fast_value!r} reference={reference_value!r}"
+        )
+        if isinstance(fast_value, float):
+            fast_value = fast_value.hex()
+            reference_value = reference_value.hex()
         assert fast_value == reference_value, (
             f"{field.name}: fast={fast_value!r} reference={reference_value!r}"
         )
 
 
-def _sweep(model_name, platform, num_genomes, seed, num_levels=2):
+def _sweep(
+    model_name, platform, num_genomes, seed, num_levels=2, bytes_per_element=1
+):
+    if bytes_per_element == 1:
+        fast_model, reference_model = FAST, REFERENCE
+    else:
+        fast_model = CostModel(bytes_per_element=bytes_per_element)
+        reference_model = CostModel(
+            bytes_per_element=bytes_per_element, engine="reference"
+        )
     model = get_model(model_name)
     space = GenomeSpace.from_model(model, max_pes=4096, num_levels=num_levels)
     rng = np.random.default_rng(seed)
@@ -45,11 +62,11 @@ def _sweep(model_name, platform, num_genomes, seed, num_levels=2):
         genome = repair_genome(space.random_genome(rng), space)
         mapping = genome.to_mapping()
         for layer in model.unique_layers():
-            fast = FAST.evaluate_layer(
+            fast = fast_model.evaluate_layer(
                 layer, mapping, platform.noc_bandwidth, platform.dram_bandwidth
             )
             # The seed implementation clipped eagerly before evaluating.
-            reference = REFERENCE.evaluate_layer(
+            reference = reference_model.evaluate_layer(
                 layer,
                 mapping.clipped_to_layer(layer),
                 platform.noc_bandwidth,
@@ -66,9 +83,20 @@ class TestEnginePacksIdenticalReports:
     def test_random_repaired_genomes(self, platform, model_name):
         _sweep(model_name, platform, num_genomes=12, seed=2022)
 
-    @pytest.mark.parametrize("num_levels", [1, 3])
-    def test_non_default_hierarchy_depths(self, num_levels):
-        _sweep("resnet18", EDGE, num_genomes=8, seed=7, num_levels=num_levels)
+    @pytest.mark.parametrize("bytes_per_element", [1, 3])
+    @pytest.mark.parametrize("model_name", ["resnet18", "mobilenet_v2"])
+    @pytest.mark.parametrize("num_levels", [1, 3, 4])
+    def test_non_default_hierarchy_depths(
+        self, num_levels, model_name, bytes_per_element
+    ):
+        _sweep(
+            model_name,
+            EDGE,
+            num_genomes=8,
+            seed=7,
+            num_levels=num_levels,
+            bytes_per_element=bytes_per_element,
+        )
 
 
 class TestCachedEvaluationsAreIdentical:

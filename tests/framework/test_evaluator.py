@@ -1,5 +1,6 @@
 """Tests for the design evaluator (decode + score + constraint check)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.hardware import HardwareConfig
@@ -206,6 +207,15 @@ class TestEvaluateMapping:
             evaluator.evaluate_mapping(provider)
         result = evaluator.evaluate_mapping(provider, pe_array=(8, 8))
         assert result.design.hardware.pe_array == (8, 8)
+
+    def test_per_layer_provider_rejects_pe_count_below_one(
+        self, evaluator, tiny_model
+    ):
+        provider = lambda layer: uniform_mapping(layer, (8, 8), ("K", "C"))
+        with pytest.raises(ValueError):
+            evaluator.evaluate_mapping(provider, pe_array=(0, 16))
+        result = evaluator.evaluate_mapping(provider, pe_array=(np.int64(8), 8))
+        assert all(type(size) is int for size in result.design.hardware.pe_array)
 
     def test_genome_space_bounds_follow_platform(self, evaluator):
         space = evaluator.genome_space()

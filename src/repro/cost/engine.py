@@ -19,8 +19,9 @@ The engine consumes:
 The key doubles as the memoization key for per-layer cost caching: two
 (layer, mapping) pairs with equal keys have identical cost reports.
 
-The two-level hierarchy (the paper's default L2 + L1 accelerator) gets a
-straight-line specialisation; other depths go through the general path.
+One body, :func:`evaluate_layer_key`, prices every hierarchy depth.  It
+prices every single design, runs every ``engine="fast"`` search and is the
+vector engine's fallback for rows it cannot price exactly.
 """
 
 from __future__ import annotations
@@ -169,42 +170,6 @@ def _order_positions(
     return trio
 
 
-def _operand_footprint(
-    statics: LayerStatics, extents: Tuple[int, ...]
-) -> Tuple[int, int, int]:
-    """(W, I, O) element counts of a tile with the given extents."""
-    k, c, y, x, r, s = extents
-    stride = statics.stride
-    in_y = (y - 1) * stride + r
-    in_x = (x - 1) * stride + s
-    if statics.is_depthwise:
-        weight = c * r * s
-        output = c * y * x
-    else:
-        weight = k * c * r * s
-        output = k * y * x
-    return weight, c * in_y * in_x, output
-
-
-def _operand_fetches(
-    order: Tuple[int, ...],
-    trips: Tuple[int, ...],
-    prefix: List[int],
-    positions: Tuple[int, ...],
-) -> int:
-    """Times an operand tile is re-fetched from the parent level.
-
-    ``prefix[p]`` is the product of the trip counts of the loops at
-    positions ``0..p`` of ``order``; ``positions`` are the operand's
-    relevant-loop positions.  The innermost relevant loop that actually
-    iterates decides the fetch count (loops with one trip are transparent).
-    """
-    for position in reversed(positions):
-        if trips[order[position]] > 1:
-            return prefix[position]
-    return 1
-
-
 def evaluate_layer_key(
     statics: LayerStatics,
     key: LayerMappingKey,
@@ -218,239 +183,35 @@ def evaluate_layer_key(
     """Evaluate one layer under one clipped mapping key.
 
     Mirrors the reference :meth:`CostModel.evaluate_layer` bit for bit; see
-    the module docstring for the contract.
+    the module docstring for the contract.  One pass walks the levels,
+    outermost first, carrying the trip product of the levels above (it
+    multiplies the NoC traffic into each level) and the number of spatially
+    distinct copies of each operand.  Footprints are used where the
+    reference uses them: level 0's macro tile gives the DRAM traffic, the
+    L2 fill and the L2 size; each middle level's macro tile adds to the L2
+    size; the tiles below level 0 give the NoC traffic; the innermost tile
+    gives the L1 size and the L1 fill.  A one-level hierarchy sizes both
+    buffers from its raw tile.  The macro tiles of the analysis serve as
+    the buffer macros because ``min(parent, tile * spatial)`` and
+    ``min(parent, tile * active)`` coincide (``tile * chunks`` always
+    covers the parent extent).
     """
-    if len(key) == 2:
-        return _evaluate_two_level(
-            statics,
-            key,
-            noc_bandwidth,
-            dram_bandwidth,
-            bytes_per_element,
-            energy,
-            layer_name,
-            count,
-        )
-    return _evaluate_general(
-        statics,
-        key,
-        noc_bandwidth,
-        dram_bandwidth,
-        bytes_per_element,
-        energy,
-        layer_name,
-        count,
-    )
-
-
-def _evaluate_two_level(
-    statics: LayerStatics,
-    key: LayerMappingKey,
-    noc_bandwidth: float,
-    dram_bandwidth: float,
-    bpe: int,
-    energy: Tuple[float, float, float, float],
-    layer_name: str,
-    count: int,
-) -> LayerPerformance:
-    """Straight-line evaluation of the common L2 + L1 hierarchy."""
+    bpe = bytes_per_element
     rel_w = statics.weight_indexes
     rel_i = statics.input_indexes
     rel_o = statics.output_indexes
     stride = statics.stride
     depthwise = statics.is_depthwise
-
-    (spatial0, par0, order0), tile0 = key[0]
-    (spatial1, par1, order1), tile1 = key[1]
-
-    # -- level 0 (shared / L2) reuse analysis ------------------------------
-    d0, d1, d2, d3, d4, d5 = statics.dims
-    a0, a1, a2, a3, a4, a5 = tile0
-    base0 = (
-        -(-d0 // a0),
-        -(-d1 // a1),
-        -(-d2 // a2),
-        -(-d3 // a3),
-        -(-d4 // a4),
-        -(-d5 // a5),
-    )
-    chunks0 = base0[par0]
-    active0 = spatial0 if spatial0 < chunks0 else chunks0
-    folds0 = -(-chunks0 // active0)
-    trips0 = base0[:par0] + (folds0,) + base0[par0 + 1:]
-    covered0 = tile0[par0] * active0
-    parent0 = statics.dims[par0]
-    macro0 = tile0[:par0] + (
-        (parent0 if parent0 < covered0 else covered0),
-    ) + tile0[par0 + 1:]
-    product0 = 1
-    prefix0 = []
-    for dim in order0:
-        product0 *= trips0[dim]
-        prefix0.append(product0)
-
-    # -- level 1 (per-PE / L1) reuse analysis ------------------------------
-    b0, b1, b2, b3, b4, b5 = tile1
-    base1 = (
-        -(-a0 // b0),
-        -(-a1 // b1),
-        -(-a2 // b2),
-        -(-a3 // b3),
-        -(-a4 // b4),
-        -(-a5 // b5),
-    )
-    chunks1 = base1[par1]
-    active1 = spatial1 if spatial1 < chunks1 else chunks1
-    folds1 = -(-chunks1 // active1)
-    trips1 = base1[:par1] + (folds1,) + base1[par1 + 1:]
-    product1 = 1
-    prefix1 = []
-    for dim in order1:
-        product1 *= trips1[dim]
-        prefix1.append(product1)
-
-    inner_volume = b0 * b1 * b2 * b3 * b4 * b5
-    compute_cycles = float(inner_volume * (product0 * product1))
-
-    # -- operand footprints ------------------------------------------------
-    mk, mc, my, mx, mr, ms = macro0
-    macro_in_y = (my - 1) * stride + mr
-    macro_in_x = (mx - 1) * stride + ms
-    if depthwise:
-        macro_w = mc * mr * ms
-        macro_o = mc * my * mx
-    else:
-        macro_w = mk * mc * mr * ms
-        macro_o = mk * my * mx
-    macro_i = mc * macro_in_y * macro_in_x
-
-    inner_in_y = (b2 - 1) * stride + b4
-    inner_in_x = (b3 - 1) * stride + b5
-    if depthwise:
-        inner_w = b1 * b4 * b5
-        inner_o = b1 * b2 * b3
-    else:
-        inner_w = b0 * b1 * b4 * b5
-        inner_o = b0 * b2 * b3
-    inner_i = b1 * inner_in_y * inner_in_x
-
-    # -- off-chip traffic (reference: CostModel._dram_traffic) -------------
     order_positions = statics.order_positions
-    trio = order_positions.get(order0)
-    if trio is None:
-        trio = _order_positions(statics, order0)
-    pos_w0, pos_i0, pos_o0 = trio
-    dram_bytes = 0.0
-    fetches = 1
-    for position in reversed(pos_w0):
-        if trips0[order0[position]] > 1:
-            fetches = prefix0[position]
-            break
-    dram_bytes += fetches * macro_w * bpe
-    fetches = 1
-    for position in reversed(pos_i0):
-        if trips0[order0[position]] > 1:
-            fetches = prefix0[position]
-            break
-    dram_bytes += fetches * macro_i * bpe
-    out_fetches = 1
-    for position in reversed(pos_o0):
-        if trips0[order0[position]] > 1:
-            out_fetches = prefix0[position]
-            break
-    final_output = statics.output_elements
-    spills = max(0.0, float(out_fetches * macro_o - final_output))
-    dram_bytes += (final_output + 2.0 * spills) * bpe
-
-    # -- NoC traffic (reference: CostModel._on_chip_traffic) ---------------
-    trio = order_positions.get(order1)
-    if trio is None:
-        trio = _order_positions(statics, order1)
-    pos_w1, pos_i1, pos_o1 = trio
-    l2_to_l1_bytes = 0.0
-    for footprint, relevant, positions, is_output in (
-        (inner_w, rel_w, pos_w1, False),
-        (inner_i, rel_i, pos_i1, False),
-        (inner_o, rel_o, pos_o1, True),
-    ):
-        fetches = 1
-        for position in reversed(positions):
-            if trips1[order1[position]] > 1:
-                fetches = prefix1[position]
-                break
-        distinct = 1
-        if par0 in relevant or (is_output and par0 in REDUCTION_INDEXES):
-            distinct *= active0
-        if par1 in relevant or (is_output and par1 in REDUCTION_INDEXES):
-            distinct *= active1
-        l2_to_l1_bytes += product0 * fetches * footprint * distinct * bpe
-
-    noc_cycles = l2_to_l1_bytes / noc_bandwidth
-    dram_cycles = dram_bytes / dram_bandwidth
-
-    # -- pipeline fill (reference: CostModel._startup_cycles) --------------
-    startup = (macro_w + macro_i) * bpe / dram_bandwidth + (
-        (inner_w + inner_i) * bpe / noc_bandwidth
-    )
-    latency = max(compute_cycles, noc_cycles, dram_cycles) + startup
-
-    # -- energy (reference: evaluate_layer tail) ---------------------------
-    macs = statics.macs
-    l1_access_bytes = 2.0 * macs * bpe + l2_to_l1_bytes
-    l2_access_bytes = l2_to_l1_bytes + dram_bytes
-    mac_energy, l1_energy, l2_energy, dram_energy = energy
-    total_energy = macs * mac_energy + (
-        l1_access_bytes * l1_energy
-        + l2_access_bytes * l2_energy
-        + dram_bytes * dram_energy
-    )
-
-    # -- minimum buffer capacities (reference: tiles.buffer_requirements) --
-    # The analysis macro reuses here because ``min(parent, tile * spatial)``
-    # and ``min(parent, tile * active)`` coincide (``tile * chunks`` always
-    # covers the parent extent).
-    return make_report(
-        layer_name,
-        latency,
-        compute_cycles,
-        noc_cycles,
-        dram_cycles,
-        macs,
-        l2_to_l1_bytes,
-        dram_bytes,
-        l1_access_bytes,
-        total_energy,
-        active0 * active1,
-        spatial0 * spatial1,
-        (inner_w + inner_i + inner_o) * bpe,
-        (macro_w + macro_i + macro_o) * bpe,
-        count,
-    )
-
-
-def _evaluate_general(
-    statics: LayerStatics,
-    key: LayerMappingKey,
-    noc_bandwidth: float,
-    dram_bandwidth: float,
-    bpe: int,
-    energy: Tuple[float, float, float, float],
-    layer_name: str,
-    count: int,
-) -> LayerPerformance:
-    """Evaluation of arbitrary hierarchy depths (1 or 3+ levels)."""
-    rel_w = statics.weight_indexes
-    rel_i = statics.input_indexes
-    rel_o = statics.output_indexes
-
-    # -- per-level reuse analysis (reference: reuse.analyze_levels) --------
+    last = len(key) - 1
     parent = statics.dims
+    steps_above = 1
     num_pes = 1
     active_pes = 1
-    total_steps = 1
-    # Per level: (tile, macro, trips, order, prefix, total_trips, active, p_idx)
-    levels: List[Tuple] = []
-    for (spatial, p_idx, order), tile in key:
+    distinct_w = distinct_i = distinct_o = 1
+    l2_to_l1_bytes = 0.0
+    for index, ((spatial, par, order), tile) in enumerate(key):
+        # -- reuse analysis (reference: reuse.analyze_levels) --------------
         t0, t1, t2, t3, t4, t5 = tile
         p0, p1, p2, p3, p4, p5 = parent
         base = (
@@ -461,92 +222,116 @@ def _evaluate_general(
             -(-p4 // t4),
             -(-p5 // t5),
         )
-        chunks = base[p_idx]
+        chunks = base[par]
         active = spatial if spatial < chunks else chunks
-        folds = -(-chunks // active)
-        trips = base[:p_idx] + (folds,) + base[p_idx + 1:]
-        covered = tile[p_idx] * active
-        macro_p = parent[p_idx] if parent[p_idx] < covered else covered
-        macro = tile[:p_idx] + (macro_p,) + tile[p_idx + 1:]
+        trips = base[:par] + (-(-chunks // active),) + base[par + 1:]
         product = 1
         prefix = []
         for dim in order:
             product *= trips[dim]
             prefix.append(product)
-        levels.append((tile, macro, trips, order, prefix, product, active, p_idx))
+
+        # -- operand fetches (reference: reuse.operand_fetches) ------------
+        # The trip prefix up to the operand's innermost relevant loop that
+        # iterates; loops with one trip are transparent.
+        trio = order_positions.get(order)
+        if trio is None:
+            trio = _order_positions(statics, order)
+        pos_w, pos_i, pos_o = trio
+        fetch_w = 1
+        for position in reversed(pos_w):
+            if trips[order[position]] > 1:
+                fetch_w = prefix[position]
+                break
+        fetch_i = 1
+        for position in reversed(pos_i):
+            if trips[order[position]] > 1:
+                fetch_i = prefix[position]
+                break
+        fetch_o = 1
+        for position in reversed(pos_o):
+            if trips[order[position]] > 1:
+                fetch_o = prefix[position]
+                break
+
+        # -- spatially distinct copies (reference: spatial_distinct_factor)
+        if par in rel_w:
+            distinct_w *= active
+        if par in rel_i:
+            distinct_i *= active
+        if par in rel_o or par in REDUCTION_INDEXES:
+            distinct_o *= active
+
+        if index or not last:
+            # The raw tile: NoC traffic into this level, and the L1 when
+            # this level is the innermost.
+            in_y = (t2 - 1) * stride + t4
+            in_x = (t3 - 1) * stride + t5
+            if depthwise:
+                tile_w = t1 * t4 * t5
+                tile_o = t1 * t2 * t3
+            else:
+                tile_w = t0 * t1 * t4 * t5
+                tile_o = t0 * t2 * t3
+            tile_i = t1 * in_y * in_x
+            if index:
+                # reference: CostModel._on_chip_traffic
+                l2_to_l1_bytes += (
+                    steps_above * fetch_w * tile_w * distinct_w * bpe
+                )
+                l2_to_l1_bytes += (
+                    steps_above * fetch_i * tile_i * distinct_i * bpe
+                )
+                l2_to_l1_bytes += (
+                    steps_above * fetch_o * tile_o * distinct_o * bpe
+                )
+        if index < last or not last:
+            # The macro tile all active sub-clusters cover: the L2 share of
+            # this level, and the DRAM traffic at level 0.
+            covered = tile[par] * active
+            extent = parent[par]
+            m0, m1, m2, m3, m4, m5 = tile[:par] + (
+                (extent if extent < covered else covered),
+            ) + tile[par + 1:]
+            in_y = (m2 - 1) * stride + m4
+            in_x = (m3 - 1) * stride + m5
+            if depthwise:
+                macro_w = m1 * m4 * m5
+                macro_o = m1 * m2 * m3
+            else:
+                macro_w = m0 * m1 * m4 * m5
+                macro_o = m0 * m2 * m3
+            macro_i = m1 * in_y * in_x
+            if index:
+                l2_requirement += (macro_w + macro_i + macro_o) * bpe
+            else:
+                # reference: CostModel._dram_traffic
+                dram_bytes = 0.0
+                dram_bytes += fetch_w * macro_w * bpe
+                dram_bytes += fetch_i * macro_i * bpe
+                final_output = statics.output_elements
+                spills = max(0.0, float(fetch_o * macro_o - final_output))
+                dram_bytes += (final_output + 2.0 * spills) * bpe
+                fill_l2 = (macro_w + macro_i) * bpe / dram_bandwidth
+                l2_requirement = (macro_w + macro_i + macro_o) * bpe
+        steps_above *= product
         num_pes *= spatial
         active_pes *= active
-        total_steps *= product
         parent = tile
 
-    num_levels = len(levels)
-    inner_tile = levels[-1][0]
-    inner_volume = 1
-    for size in inner_tile:
-        inner_volume *= size
-    compute_cycles = float(inner_volume * total_steps)
-
-    outer = levels[0]
-    _, outer_macro, outer_trips, outer_order, outer_prefix, outer_total, _, _ = outer
-
-    # -- off-chip traffic (reference: CostModel._dram_traffic) -------------
-    pos_w0, pos_i0, pos_o0 = _order_positions(statics, outer_order)
-    macro_w, macro_i, macro_o = _operand_footprint(statics, outer_macro)
-    dram_bytes = 0.0
-    dram_bytes += (
-        _operand_fetches(outer_order, outer_trips, outer_prefix, pos_w0)
-        * macro_w
-        * bpe
-    )
-    dram_bytes += (
-        _operand_fetches(outer_order, outer_trips, outer_prefix, pos_i0)
-        * macro_i
-        * bpe
-    )
-    out_fetches = _operand_fetches(outer_order, outer_trips, outer_prefix, pos_o0)
-    out_elements = out_fetches * macro_o
-    final_output = statics.output_elements
-    spills = max(0.0, float(out_elements - final_output))
-    dram_bytes += (final_output + 2.0 * spills) * bpe
-
-    # -- NoC traffic (reference: CostModel._on_chip_traffic) ---------------
-    l2_to_l1_bytes = 0.0
-    tile_footprints: List[Tuple[int, int, int]] = [(macro_w, macro_i, macro_o)]
-    if num_levels >= 2:
-        steps_above = outer_total
-        for level_index in range(1, num_levels):
-            tile, _, trips, order, prefix, total_trips, _, _ = levels[level_index]
-            pos_w, pos_i, pos_o = _order_positions(statics, order)
-            tile_w, tile_i, tile_o = _operand_footprint(statics, tile)
-            tile_footprints.append((tile_w, tile_i, tile_o))
-            for footprint, relevant, positions, is_output in (
-                (tile_w, rel_w, pos_w, False),
-                (tile_i, rel_i, pos_i, False),
-                (tile_o, rel_o, pos_o, True),
-            ):
-                fetches = _operand_fetches(order, trips, prefix, positions)
-                distinct = 1
-                for entry in levels[: level_index + 1]:
-                    parallel = entry[7]
-                    needs_distinct = parallel in relevant
-                    if is_output and parallel in REDUCTION_INDEXES:
-                        needs_distinct = True
-                    if needs_distinct:
-                        distinct *= entry[6]
-                l2_to_l1_bytes += steps_above * fetches * footprint * distinct * bpe
-            steps_above *= total_trips
-
+    compute_cycles = float(t0 * t1 * t2 * t3 * t4 * t5 * steps_above)
     noc_cycles = l2_to_l1_bytes / noc_bandwidth
     dram_cycles = dram_bytes / dram_bandwidth
 
+    # -- buffer capacities (reference: tiles.buffer_requirements) and the
     # -- pipeline fill (reference: CostModel._startup_cycles) --------------
-    fill_l2 = (macro_w + macro_i) * bpe / dram_bandwidth
-    fill_l1 = 0.0
-    if num_levels > 1:
-        inner_w, inner_i, _ = tile_footprints[-1]
-        fill_l1 = (inner_w + inner_i) * bpe / noc_bandwidth
-    startup = fill_l2 + fill_l1
-    latency = max(compute_cycles, noc_cycles, dram_cycles) + startup
+    l1_requirement = (tile_w + tile_i + tile_o) * bpe
+    if last:
+        fill_l1 = (tile_w + tile_i) * bpe / noc_bandwidth
+    else:
+        fill_l1 = 0.0
+        l2_requirement = l1_requirement
+    latency = max(compute_cycles, noc_cycles, dram_cycles) + (fill_l2 + fill_l1)
 
     # -- energy (reference: evaluate_layer tail) ---------------------------
     macs = statics.macs
@@ -558,26 +343,6 @@ def _evaluate_general(
         + l2_access_bytes * l2_energy
         + dram_bytes * dram_energy
     )
-
-    # -- minimum buffer capacities (reference: tiles.buffer_requirements) --
-    # The macro extent of each non-innermost level equals the analysis
-    # macro (``min(parent, tile * spatial)`` and ``min(parent, tile *
-    # active)`` coincide because ``tile * chunks >= parent``), so the
-    # footprints above are reusable.
-    if num_levels == 1:
-        tile_w, tile_i, tile_o = _operand_footprint(statics, inner_tile)
-        l1_requirement = (tile_w + tile_i + tile_o) * bpe
-        l2_requirement = l1_requirement
-    else:
-        inner_w, inner_i, inner_o = tile_footprints[-1]
-        l1_requirement = (inner_w + inner_i + inner_o) * bpe
-        l2_requirement = (macro_w + macro_i + macro_o) * bpe
-        for level_index in range(1, num_levels - 1):
-            mid_w, mid_i, mid_o = _operand_footprint(
-                statics, levels[level_index][1]
-            )
-            l2_requirement += (mid_w + mid_i + mid_o) * bpe
-
     return make_report(
         layer_name,
         latency,

@@ -12,9 +12,9 @@ This module evaluates a whole batch of such pairs — one *row* per
   hierarchy level — and the engine resolves the per-layer invariants
   through a small statics table, and
 * the reuse/latency/energy arithmetic of the scalar engine
-  (:func:`repro.cost.engine._evaluate_two_level` and its depth-general
-  sibling ``_evaluate_general``) is re-expressed as level-stacked
-  elementwise array operations **in the same operation order**.
+  (:func:`repro.cost.engine.evaluate_layer_key`) is re-expressed as
+  level-stacked elementwise array operations **in the same operation
+  order**.
 
 Hierarchy depth is a parameter, not an assumption: 1-level, 2-level and
 3+-level rows all ride the array pipeline (a batch has one depth, read off
@@ -329,10 +329,10 @@ class VectorEngine:
     ) -> Tuple[tuple, tuple, np.ndarray]:
         """The vectorized, depth-general evaluation.
 
-        Mirrors ``engine._evaluate_two_level`` / ``engine._evaluate_general``
-        operation for operation as a loop over hierarchy levels (the depth
-        comes from the matrix width); see the module docstring for the
-        exactness argument behind the ``inexact`` flags and for why the
+        Mirrors ``engine.evaluate_layer_key`` operation for operation as a
+        loop over hierarchy levels (the depth comes from the matrix
+        width); see the module docstring for the exactness argument
+        behind the ``inexact`` flags and for why the
         6-wide dimension axis is only ever gathered from, never reduced
         along.  Returns the float columns (latency, compute, noc, dram,
         l2_to_l1, dram_bytes, l1_access, energy), the integer columns
@@ -453,7 +453,7 @@ class VectorEngine:
         macro_w, macro_i, macro_o, flagged = _footprints(macros[0])
         inexact |= flagged
 
-        # -- operand fetch scans (engine: _operand_fetches) ----------------
+        # -- operand fetch scans (reference: reuse.operand_fetches) --------
         def _fetches(mask, level):
             # The trip prefix up to the innermost loop that iterates and
             # is relevant to the operand; 1.0 when there is none.

@@ -58,9 +58,9 @@ ENGINES = ("vector", "fast", "reference")
 #: just thrashes the machine.
 DEFAULT_MAX_POOL_RESTARTS = 2
 
-#: Clock default the inlined matrix scoring pins hardware to — taken from
-#: the dataclass itself so a changed HardwareConfig default cannot silently
-#: diverge the matrix path from :meth:`DesignEvaluator._score_performance`.
+#: Clock default :meth:`DesignEvaluator._score` gives derived hardware,
+#: which it builds without ``HardwareConfig.__init__`` — taken from the
+#: dataclass itself so a changed default cannot be missed.
 _DEFAULT_FREQUENCY_MHZ = HardwareConfig.__dataclass_fields__[
     "frequency_mhz"
 ].default
@@ -263,6 +263,8 @@ class DesignEvaluator:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1 when given, got {workers}")
+        if bytes_per_element < 1:
+            raise ValueError("bytes_per_element must be >= 1")
         if engine not in self.ENGINES:
             raise ValueError(
                 f"engine must be one of {self.ENGINES}, got {engine!r}"
@@ -483,7 +485,6 @@ class DesignEvaluator:
             slots[position] = len(miss_rows)
             miss_rows.append(position)
 
-        miss_results: List[EvaluationResult] = []
         if miss_rows:
             miss_matrix = data[np.array(miss_rows, dtype=np.int64)]
             performances = self.cost_model.evaluate_model_matrix(
@@ -492,22 +493,12 @@ class DesignEvaluator:
                 noc_bandwidth=self.platform.noc_bandwidth,
                 dram_bandwidth=self.platform.dram_bandwidth,
             )
-            if self.fixed_hardware is None and self.buffer_allocation == "exact":
-                miss_results = self._score_matrix_misses(
-                    miss_matrix, miss_rows, fingerprints, performances
-                )
-            else:
-                for position, performance in zip(miss_rows, performances):
-                    miss_results.append(
-                        self._score_performance(
-                            performance,
-                            pe_array=tuple(
-                                int(data[position, level * LEVEL_WIDTH])
-                                for level in range(matrix.num_levels)
-                            ),
-                            mapping_fingerprint=fingerprints[position],
-                        )
-                    )
+            spatial = miss_matrix[:, SPATIAL_COL::LEVEL_WIDTH].tolist()
+            miss_results = self._score(
+                performances,
+                [fingerprints[position] for position in miss_rows],
+                list(map(tuple, spatial)),
+            )
             for result, position in zip(miss_results, miss_rows):
                 cache.put(fingerprints[position], result)
             for position, slot in enumerate(slots):
@@ -517,103 +508,6 @@ class DesignEvaluator:
             _with_row_genome(results[position], fingerprints[position])
             for position in range(count)
         ]
-
-    def _score_matrix_misses(
-        self,
-        miss_matrix: np.ndarray,
-        miss_rows: List[int],
-        fingerprints: List[bytes],
-        performances: List[ModelPerformance],
-    ) -> List[EvaluationResult]:
-        """Score freshly priced gene rows with the scoring math inlined.
-
-        Bit-identical to calling :meth:`_score_performance` per design
-        (every arithmetic operation is performed in the same order on the
-        same scalars); the per-design dataclass machinery is replaced by
-        bulk ``__dict__`` construction, which matters when a generation
-        scores hundreds of designs.  Only the derived-hardware / exact-
-        buffer configuration takes this path.
-        """
-        area_model = self.area_model
-        pe_area_um2 = area_model.pe_area_um2
-        l1_per_byte = area_model.l1_area_per_byte_um2
-        l2_per_byte = area_model.l2_area_per_byte_um2
-        budget = self.platform.area_budget_um2
-        noc_bandwidth = self.platform.noc_bandwidth
-        dram_bandwidth = self.platform.dram_bandwidth
-        bytes_per_element = self.bytes_per_element
-        objective = self.objective
-        objectives = self.objectives
-        num_levels = miss_matrix.shape[1] // LEVEL_WIDTH
-        spatial_columns = [
-            miss_matrix[:, level * LEVEL_WIDTH].tolist()
-            for level in range(num_levels)
-        ]
-        results: List[EvaluationResult] = []
-        for index, performance in enumerate(performances):
-            l1_size = performance.l1_requirement_bytes
-            if l1_size < 1:
-                l1_size = 1
-            l2_size = performance.l2_requirement_bytes
-            if l2_size < 1:
-                l2_size = 1
-            pe_array = tuple(column[index] for column in spatial_columns)
-            num_pes = 1
-            for extent in pe_array:
-                num_pes *= extent
-            hardware = object.__new__(HardwareConfig)
-            hardware.__dict__.update(
-                pe_array=pe_array,
-                l1_size=l1_size,
-                l2_size=l2_size,
-                noc_bandwidth=noc_bandwidth,
-                dram_bandwidth=dram_bandwidth,
-                bytes_per_element=bytes_per_element,
-                frequency_mhz=_DEFAULT_FREQUENCY_MHZ,
-            )
-            pe_area = num_pes * pe_area_um2
-            l1_area = num_pes * l1_size * l1_per_byte
-            l2_area = l2_size * l2_per_byte
-            area = object.__new__(AreaBreakdown)
-            area.__dict__.update(
-                pe_area=pe_area, l1_area=l1_area, l2_area=l2_area
-            )
-            total = pe_area + (l1_area + l2_area)
-            if objective is Objective.LATENCY:
-                value = performance.latency
-            elif objective is Objective.LATENCY_AREA_PRODUCT:
-                value = performance.latency * total
-            else:
-                value = objective_value(objective, performance, area)
-            if total / budget > 1.0:
-                check = self.constraint_checker.check(hardware, area)
-                fitness = self._fitness(value, False, check.severity)
-                valid = False
-                violations = check.violations
-            else:
-                fitness = -value
-                valid = True
-                violations = ()
-            design = LazyRowMappingDesign.build(
-                hardware, fingerprints[miss_rows[index]], performance, area
-            )
-            result = object.__new__(EvaluationResult)
-            result.__dict__.update(
-                fitness=fitness,
-                valid=valid,
-                objective=objective,
-                objective_value=value,
-                design=design,
-                violations=violations,
-                genome=None,
-                objective_vector=(
-                    objectives.values(performance, area)
-                    if objectives is not None
-                    else None
-                ),
-            )
-            results.append(result)
-        return results
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -763,11 +657,16 @@ class DesignEvaluator:
         ``mapping`` is a callable (the spatial sizes cannot be read off it).
         """
         if isinstance(mapping, Mapping):
-            representative_mapping = mapping
+            design_mapping = mapping
+            if pe_array is None:
+                pe_array = mapping.pe_array
         else:
             if pe_array is None:
                 raise ValueError("pe_array is required for per-layer mapping providers")
-            representative_mapping = None
+            design_mapping = None
+        pe_array = tuple(int(size) for size in pe_array)
+        if not pe_array or min(pe_array) < 1:
+            raise ValueError(f"pe_array entries must be >= 1, got {pe_array}")
 
         performance = self.cost_model.evaluate_model(
             self.model,
@@ -775,104 +674,133 @@ class DesignEvaluator:
             noc_bandwidth=self.platform.noc_bandwidth,
             dram_bandwidth=self.platform.dram_bandwidth,
         )
-        return self._score_performance(
-            performance,
-            pe_array=pe_array
-            if pe_array is not None
-            else representative_mapping.pe_array,
-            design_mapping=representative_mapping
-            if representative_mapping is not None
-            else mapping(self.model.unique_layers()[0]),
-        )
+        if design_mapping is None:
+            design_mapping = mapping(self.model.unique_layers()[0])
+        return self._score((performance,), (design_mapping,), (pe_array,))[0]
 
     # -- internals ---------------------------------------------------------
 
-    def _score_performance(
+    def _score(
         self,
-        performance: ModelPerformance,
-        pe_array: tuple,
-        design_mapping: Optional[Mapping] = None,
-        mapping_fingerprint: Optional[bytes] = None,
-    ) -> EvaluationResult:
-        """Turn a cost-model report into a scored design point.
+        performances: Sequence[ModelPerformance],
+        mappings: Sequence,
+        pe_arrays: Sequence[Tuple[int, ...]],
+    ) -> List[EvaluationResult]:
+        """Turn priced designs into scored design points.
 
-        The design's mapping comes eagerly (``design_mapping``) or as a
-        gene-row fingerprint (``mapping_fingerprint``), which rebuilds the
-        mapping lazily on first access (the gene-matrix path, where almost
-        no mapping is ever inspected).
+        ``mappings[i]`` is design ``i``'s :class:`Mapping`, kept eagerly, or
+        its gene-row fingerprint, from which the mapping rebuilds on first
+        access (the gene-matrix path, where almost no mapping is ever
+        inspected).  ``pe_arrays[i]`` holds plain ints, each at least 1.
+        The buffers follow the allocation strategy: the fixed hardware's,
+        exactly the mapping's requirement (``"exact"``), or that with the
+        L2 grown into the area left over after PEs and L1s (``"fill"``).
+
+        The constraint checker runs only for a design over the area budget
+        or a fixed buffer capacity; every other design is valid with
+        severity 1.  Hardware, areas and results are built without the
+        dataclass ``__init__``, which matters when a generation scores
+        hundreds of designs; the arithmetic is the checker's and the area
+        model's, in the same order on the same scalars.
         """
-        hardware = self._derive_hardware(performance, pe_array=pe_array)
-        area = self.area_model.breakdown(hardware)
-        check = self.constraint_checker.check(
-            hardware,
-            area,
-            l1_requirement_bytes=performance.l1_requirement_bytes,
-            l2_requirement_bytes=performance.l2_requirement_bytes,
-        )
-        value = objective_value(self.objective, performance, area)
-        fitness = self._fitness(value, check.valid, check.severity)
-        vector = (
-            self.objectives.values(performance, area)
-            if self.objectives is not None
-            else None
-        )
-        if design_mapping is not None:
-            design = AcceleratorDesign(
-                hardware=hardware,
-                mapping=design_mapping,
-                performance=performance,
-                area=area,
-            )
-        else:
-            design = LazyRowMappingDesign.build(
-                hardware, mapping_fingerprint, performance, area
-            )
-        return EvaluationResult(
-            fitness=fitness,
-            valid=check.valid,
-            objective=self.objective,
-            objective_value=value,
-            design=design,
-            violations=check.violations,
-            genome=None,
-            objective_vector=vector,
-        )
-
-    def _derive_hardware(
-        self,
-        performance: ModelPerformance,
-        pe_array: tuple,
-    ) -> HardwareConfig:
-        """Apply the buffer-allocation strategy (or return the fixed HW)."""
-        if self.fixed_hardware is not None:
-            return self.fixed_hardware
-        l1_size = max(1, performance.l1_requirement_bytes)
-        l2_size = max(1, performance.l2_requirement_bytes)
-        if self.buffer_allocation == "fill":
-            num_pes = 1
-            for size in pe_array:
-                num_pes *= int(size)
-            committed = (
-                num_pes * self.area_model.pe_area_um2
-                + num_pes * l1_size * self.area_model.l1_area_per_byte_um2
-            )
-            leftover = self.platform.area_budget_um2 - committed
-            if leftover > 0:
-                l2_size = max(
-                    l2_size, int(leftover // self.area_model.l2_area_per_byte_um2)
+        area_model = self.area_model
+        pe_area_um2 = area_model.pe_area_um2
+        l1_per_byte = area_model.l1_area_per_byte_um2
+        l2_per_byte = area_model.l2_area_per_byte_um2
+        budget = self.platform.area_budget_um2
+        noc_bandwidth = self.platform.noc_bandwidth
+        dram_bandwidth = self.platform.dram_bandwidth
+        bytes_per_element = self.bytes_per_element
+        fill = self.buffer_allocation == "fill"
+        objective = self.objective
+        objectives = self.objectives
+        fixed = self.fixed_hardware
+        if fixed is not None:
+            hardware = fixed
+            area = area_model.breakdown(fixed)
+            total = area.total
+            over_area = total / budget > 1.0
+        results: List[EvaluationResult] = []
+        for performance, mapping, pe_array in zip(performances, mappings, pe_arrays):
+            l1_need = performance.l1_requirement_bytes
+            l2_need = performance.l2_requirement_bytes
+            if fixed is None:
+                l1_size = l1_need if l1_need > 1 else 1
+                l2_size = l2_need if l2_need > 1 else 1
+                num_pes = 1
+                for extent in pe_array:
+                    num_pes *= extent
+                pe_area = num_pes * pe_area_um2
+                l1_area = num_pes * l1_size * l1_per_byte
+                if fill:
+                    leftover = budget - (pe_area + l1_area)
+                    if leftover > 0:
+                        l2_size = max(l2_size, int(leftover // l2_per_byte))
+                l2_area = l2_size * l2_per_byte
+                hardware = object.__new__(HardwareConfig)
+                hardware.__dict__.update(
+                    pe_array=pe_array,
+                    l1_size=l1_size,
+                    l2_size=l2_size,
+                    noc_bandwidth=noc_bandwidth,
+                    dram_bandwidth=dram_bandwidth,
+                    bytes_per_element=bytes_per_element,
+                    frequency_mhz=_DEFAULT_FREQUENCY_MHZ,
                 )
-        return HardwareConfig(
-            pe_array=tuple(pe_array),
-            l1_size=l1_size,
-            l2_size=l2_size,
-            noc_bandwidth=self.platform.noc_bandwidth,
-            dram_bandwidth=self.platform.dram_bandwidth,
-            bytes_per_element=self.bytes_per_element,
-        )
-
-    @staticmethod
-    def _fitness(value: float, valid: bool, severity: float) -> float:
-        """Higher-is-better fitness with graded penalties for invalid points."""
-        if valid:
-            return -value
-        return -INVALID_FITNESS_SCALE * max(1.0, severity)
+                area = object.__new__(AreaBreakdown)
+                area.__dict__.update(
+                    pe_area=pe_area, l1_area=l1_area, l2_area=l2_area
+                )
+                total = pe_area + (l1_area + l2_area)
+                over = total / budget > 1.0
+            else:
+                over = (
+                    over_area
+                    or l1_need > fixed.l1_size
+                    or l2_need > fixed.l2_size
+                )
+            if objective is Objective.LATENCY:
+                value = performance.latency
+            elif objective is Objective.LATENCY_AREA_PRODUCT:
+                value = performance.latency * total
+            else:
+                value = objective_value(objective, performance, area)
+            if over:
+                check = self.constraint_checker.check(
+                    hardware, area, l1_need, l2_need
+                )
+                fitness = -INVALID_FITNESS_SCALE * max(1.0, check.severity)
+                valid = False
+                violations = check.violations
+            else:
+                fitness = -value
+                valid = True
+                violations = ()
+            if type(mapping) is bytes:
+                design = LazyRowMappingDesign.build(
+                    hardware, mapping, performance, area
+                )
+            else:
+                design = AcceleratorDesign(
+                    hardware=hardware,
+                    mapping=mapping,
+                    performance=performance,
+                    area=area,
+                )
+            result = object.__new__(EvaluationResult)
+            result.__dict__.update(
+                fitness=fitness,
+                valid=valid,
+                objective=objective,
+                objective_value=value,
+                design=design,
+                violations=violations,
+                genome=None,
+                objective_vector=(
+                    objectives.values(performance, area)
+                    if objectives is not None
+                    else None
+                ),
+            )
+            results.append(result)
+        return results

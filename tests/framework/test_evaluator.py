@@ -211,7 +211,9 @@ class TestEvaluateMapping:
     def test_per_layer_provider_rejects_pe_count_below_one(
         self, evaluator, tiny_model
     ):
-        provider = lambda layer: uniform_mapping(layer, (8, 8), ("K", "C"))
+        def provider(layer):
+            return uniform_mapping(layer, (8, 8), ("K", "C"))
+
         with pytest.raises(ValueError):
             evaluator.evaluate_mapping(provider, pe_array=(0, 16))
         result = evaluator.evaluate_mapping(provider, pe_array=(np.int64(8), 8))

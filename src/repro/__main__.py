@@ -49,6 +49,7 @@ from repro.experiments import fig6 as fig6_module
 from repro.experiments import fig7 as fig7_module
 from repro.experiments import pareto as pareto_module
 from repro.experiments import runner as runner_module
+from repro.experiments.runner import positive_int
 from repro.cost.backend import BACKENDS
 from repro.experiments import crosscheck as crosscheck_module
 from repro.framework.cooptimizer import CoOptimizationFramework
@@ -251,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "'latency,energy,area'); switches to "
                              "multi-objective Pareto-front search — pair "
                              "with --optimizer nsga2 for a spread front")
-    search.add_argument("--budget", type=int, default=2000, help="sampling budget")
+    search.add_argument("--budget", type=positive_int, default=2000, help="sampling budget")
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--output", default=None,
                         help="optional path for the JSON result")
-    search.add_argument("--workers", type=int, default=None,
+    search.add_argument("--workers", type=positive_int, default=None,
                         help="process-pool width for batched population "
                              "evaluation (default: in-process)")
     search.add_argument("--engine", choices=ENGINES,
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "interrupted search resumes bit-identically "
                              "from its last completed generation on re-run "
                              "(see repro.framework.checkpoint)")
-    search.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
+    search.add_argument("--checkpoint-every", type=positive_int, default=1, metavar="N",
                         help="save a checkpoint every N generation "
                              "boundaries (default: 1)")
 
@@ -296,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", default="resnet18")
     evaluate.add_argument("--platform", choices=("edge", "cloud"), default="edge")
     evaluate.add_argument("--dataflow", choices=DATAFLOW_STYLES, default="dla")
-    evaluate.add_argument("--pe-rows", type=int, default=16)
-    evaluate.add_argument("--pe-cols", type=int, default=16)
+    evaluate.add_argument("--pe-rows", type=positive_int, default=16)
+    evaluate.add_argument("--pe-cols", type=positive_int, default=16)
 
     subparsers.add_parser("fig5", add_help=False)
     subparsers.add_parser("fig6", add_help=False)

@@ -1000,11 +1000,19 @@ def full_outcomes(
 # -- shared CLI plumbing -------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Args shared by the figure harness CLIs and ``repro experiments``."""
     parser.add_argument(
         "--budget",
-        type=int,
+        type=positive_int,
         default=DEFAULT_SAMPLING_BUDGET,
         help="sampling budget per search (paper uses 40000)",
     )
@@ -1022,7 +1030,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="process-pool width for batched population evaluation",
     )
@@ -1085,7 +1093,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="checkpoint cadence in generation boundaries (default: 1; "

@@ -144,6 +144,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--budget", "0"],
+            ["search", "--workers", "0"],
+            ["search", "--checkpoint-every", "0"],
+            ["experiments", "--smoke", "--checkpoint-every", "0"],
+            ["experiments", "--smoke", "--budget", "-3"],
+            ["fig5", "--workers", "0"],
+            ["evaluate", "--pe-rows", "0"],
+            ["evaluate", "--pe-cols", "-1"],
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["search"])

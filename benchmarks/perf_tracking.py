@@ -428,40 +428,54 @@ def check_regression(
 
 
 def check_smoke(budget: int = 400) -> int:
-    """CI smoke: vector vs fast parity on a small population + micro-bench.
+    """CI smoke: vector vs fast parity on small searches + micro-bench.
 
-    One DiGamma search per engine on a GA population (budget // 25 members)
-    asserting *bit-identical* best fitness, plus a throughput line so CI
+    One DiGamma search per engine on a GA population (budget // 25
+    members), at two and at three hierarchy levels, asserting
+    *bit-identical* best fitness and history, plus a throughput line so CI
     logs track the speed plumbing.  Exits non-zero if the engines disagree
     or the vector path failed to vectorize anything.
     """
     model = get_model("resnet18")
-    outcomes = {}
-    for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
-        framework = CoOptimizationFramework(model, get_platform("edge"), **kwargs)
-        start = time.perf_counter()
-        result = framework.search(
-            get_optimizer("digamma"), sampling_budget=budget, seed=0
-        )
-        elapsed = time.perf_counter() - start
-        vector_stats = framework.evaluator.cost_model.vector_stats
-        outcomes[name] = result
-        print(
-            f"{name:>7s}: {result.evaluations / elapsed:8.0f} evals/s, "
-            f"best fitness {result.best.fitness!r}, "
-            f"{vector_stats['rows_vectorized']} rows vectorized "
-            f"({vector_stats['rows_fallback']} scalar fallbacks)"
-        )
-        if name == "vector" and vector_stats["rows_vectorized"] == 0:
-            print("FAIL: the vector engine never vectorized a row")
+    for num_levels in (2, 3):
+        outcomes = {}
+        for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
+            framework = CoOptimizationFramework(
+                model, get_platform("edge"), num_levels=num_levels, **kwargs
+            )
+            start = time.perf_counter()
+            result = framework.search(
+                get_optimizer("digamma"), sampling_budget=budget, seed=0
+            )
+            elapsed = time.perf_counter() - start
+            vector_stats = framework.evaluator.cost_model.vector_stats
+            outcomes[name] = result
+            print(
+                f"{num_levels}-level {name:>7s}: "
+                f"{result.evaluations / elapsed:8.0f} evals/s, "
+                f"best fitness {result.best.fitness!r}, "
+                f"{vector_stats['rows_vectorized']} rows vectorized "
+                f"({vector_stats['rows_fallback']} scalar fallbacks)"
+            )
+            if name == "vector" and vector_stats["rows_vectorized"] == 0:
+                print("FAIL: the vector engine never vectorized a row")
+                return 1
+        if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
+            print(
+                f"FAIL: vector and fast disagree on the {num_levels}-level "
+                "search outcome"
+            )
             return 1
-    if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
-        print("FAIL: vector and fast disagree on the search outcome")
-        return 1
-    if outcomes["vector"].history != outcomes["fast"].history:
-        print("FAIL: vector and fast followed different trajectories")
-        return 1
-    print("OK: gene-matrix path is bit-identical to the scalar fast engine")
+        if outcomes["vector"].history != outcomes["fast"].history:
+            print(
+                f"FAIL: vector and fast followed different {num_levels}-level "
+                "trajectories"
+            )
+            return 1
+    print(
+        "OK: gene-matrix path is bit-identical to the scalar fast engine "
+        "at 2 and 3 levels"
+    )
     return 0
 
 

@@ -683,7 +683,7 @@ class DesignEvaluator:
     def _score(
         self,
         performances: Sequence[ModelPerformance],
-        mappings: Sequence,
+        mappings: Sequence[Mapping | bytes],
         pe_arrays: Sequence[Tuple[int, ...]],
     ) -> List[EvaluationResult]:
         """Turn priced designs into scored design points.

@@ -87,6 +87,13 @@ class TestEvaluateGenome:
         with pytest.raises(ValueError):
             DesignEvaluator(model=tiny_model, platform=EDGE, buffer_allocation="maximal")
 
+    @pytest.mark.parametrize("engine", ["vector", "fast"])
+    def test_element_width_below_one_rejected(self, tiny_model, engine):
+        with pytest.raises(ValueError):
+            DesignEvaluator(
+                model=tiny_model, platform=EDGE, bytes_per_element=0, engine=engine
+            )
+
 
 class TestFixedHardware:
     def test_fixed_hw_is_returned_verbatim(self, tiny_model, small_hardware):

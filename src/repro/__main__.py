@@ -90,7 +90,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         platform,
         objective=Objective.from_name(args.objective or "latency"),
         use_cache=not args.no_cache,
-        workers=args.workers,
         engine=args.engine,
         backend=args.backend,
         cache_dir=args.cache_dir,
@@ -127,7 +126,6 @@ def _run_pareto_search(args: argparse.Namespace, model, platform) -> int:
         platform,
         objectives=ObjectiveSet.from_names(args.objectives),
         use_cache=not args.no_cache,
-        workers=args.workers,
         engine=args.engine,
         backend=args.backend,
         cache_dir=args.cache_dir,
@@ -163,9 +161,6 @@ def _print_cache_stats(framework: CoOptimizationFramework) -> None:
     evaluator = framework.evaluator
     if not evaluator.use_cache:
         print("evaluation cache: disabled (--no-cache)")
-        return
-    if evaluator.workers and evaluator.cache_stats.requests == 0:
-        print("evaluation cache: per-worker (stats live in the worker processes)")
         return
     print(f"design cache: {evaluator.design_cache_stats.summary()}")
     print(f"layer cache:  {evaluator.layer_cache_stats.summary()}")
@@ -256,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--output", default=None,
                         help="optional path for the JSON result")
-    search.add_argument("--workers", type=positive_int, default=None,
-                        help="process-pool width for batched population "
-                             "evaluation (default: in-process)")
     search.add_argument("--engine", choices=ENGINES,
                         default="vector",
                         help="evaluation engine (bit-identical results; "

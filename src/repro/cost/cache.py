@@ -146,14 +146,3 @@ class LRUCache:
             maxsize=max(0, self.maxsize),
         )
 
-    # Cache *contents* never travel across process boundaries (e.g. into
-    # evaluation worker processes): pickling preserves the bound and the
-    # persistent tier (which re-opens by path on the other side, so pool
-    # workers share the on-disk store), not the in-memory entries.
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"maxsize": self.maxsize, "tier": self.tier}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["maxsize"])
-        self.tier = state.get("tier")

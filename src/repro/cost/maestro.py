@@ -519,12 +519,6 @@ class CostModel:
             tier.flush()
         return reports
 
-    def __getstate__(self) -> dict:
-        # Worker processes re-derive engine state lazily.
-        state = dict(self.__dict__)
-        state.pop("_vector_engine", None)
-        return state
-
     # -- gene-matrix population path ---------------------------------------
 
     def evaluate_model_matrix(

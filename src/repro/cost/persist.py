@@ -6,8 +6,9 @@ fingerprints that whole composite key into content-addressed row bytes
 (see :meth:`repro.cost.maestro.CostModel.evaluate_model_matrix`).  This
 module turns those fingerprints into a crash-safe on-disk store so the
 in-memory :class:`~repro.cost.cache.LRUCache` becomes an L1 over an L2
-shared by worker processes, sweep jobs and successive runs: repeat
-queries become lookups instead of engine evaluations.
+shared by sweep jobs, concurrent processes (shards, concurrent searches)
+and successive runs: repeat queries become lookups instead of engine
+evaluations.
 
 Keying
 ------
@@ -300,14 +301,16 @@ class PersistentLayerCache:
     finished job closes its evaluator.
 
     Instances pickle as their directory and reopen lazily on the other
-    side, so worker processes of an evaluation pool read and append the
-    same store; :func:`repro.durable.append` keeps concurrent appends
-    intact at line granularity.
+    side, so an open descriptor is never copied into another process.
+    Concurrent processes that open the same directory (sweep shards,
+    concurrent searches) read and append the same store;
+    :func:`repro.durable.append` keeps concurrent appends intact at line
+    granularity.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        #: Tier counters (this process; workers count in their own copy).
+        #: Tier counters (this instance; other processes count their own).
         self.l2_hits = 0
         self.l2_misses = 0
         self.l2_writes = 0
@@ -644,7 +647,7 @@ class PersistentLayerCache:
             self._descriptor = durable.open_log(self.data_path)
         return self._descriptor
 
-    # -- pickling (worker pools share the store by path) -------------------
+    # -- pickling (by path, never by open descriptor) ----------------------
 
     def __getstate__(self) -> dict:
         return {"directory": str(self.directory)}

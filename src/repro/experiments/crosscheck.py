@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.arch.platform import get_platform
 from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
+from repro.experiments.runner import bounded, positive_int
 from repro.framework.evaluator import DesignEvaluator
 from repro.workloads.registry import get_model
 
@@ -119,7 +120,7 @@ def run_crosscheck(
     sample = matrix.to_genomes()
 
     results = {
-        backend: evaluator.evaluate_population(sample, workers=1)
+        backend: evaluator.evaluate_population(sample)
         for backend, evaluator in evaluators.items()
     }
     values = {
@@ -222,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--designs",
-        type=int,
+        type=bounded(int, 2),
         default=DEFAULT_DESIGNS,
         help=f"sample size (default: {DEFAULT_DESIGNS})",
     )
     parser.add_argument(
         "--num-levels",
-        type=int,
+        type=positive_int,
         default=2,
         help="hierarchy depth of the sampled designs (default: 2)",
     )

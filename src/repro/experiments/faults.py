@@ -2,14 +2,12 @@
 
 Reliability code is only trustworthy when every failure path runs in CI, so
 this module turns the failure modes a long sweep actually meets — a job
-raising, a worker process dying under the OOM-killer, a search hanging past
+raising, a process preempted or killed mid-search, a search hanging past
 its deadline, a store file truncated mid-append by a power cut — into
-*deterministic, seedable* fault plans that the runner and evaluator execute
-on purpose:
+*deterministic, seedable* fault plans that the runner and search tracker
+execute on purpose:
 
-* ``raise-in-job`` — an exception thrown inside a job's error boundary.
-* ``kill-worker`` — ``os._exit`` inside a process-pool worker, which breaks
-  the pool (:class:`~concurrent.futures.process.BrokenProcessPool`).
+* ``raise`` — an exception thrown inside a job's error boundary.
 * ``hang`` — a sleep injected at job start, long enough to trip the
   runner's per-job watchdog timeout.
 * ``truncate-store`` — the result store loses the tail of the record it
@@ -23,10 +21,10 @@ on purpose:
 
 A plan is a tuple of :class:`FaultSpec` entries plus a filesystem *state
 directory*.  Specs that must fire a bounded number of times across several
-processes (worker kills, store truncation) claim one-shot token files in
-that directory with ``O_CREAT | O_EXCL``, so "exactly ``times`` firings"
-holds even when the claimants are separate worker processes or a resumed
-run sharing the same state directory.
+processes (store truncation, generation-boundary kinds) claim one-shot
+token files in that directory with ``O_CREAT | O_EXCL``, so "exactly
+``times`` firings" holds even when the claimants are concurrent shards or
+a resumed run sharing the same state directory.
 
 Plans are installed through ``ExperimentSettings.fault_plan`` (the sweep
 runner forwards them to every framework it builds) or directly on a
@@ -50,7 +48,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 #: The fault kinds the harness can inject.
 FAULT_KINDS = (
     "raise",
-    "kill-worker",
     "hang",
     "truncate-store",
     "kill-generation",
@@ -81,16 +78,15 @@ class FaultSpec:
     job:
         Which job(s) the fault applies to: an ``int`` matches the job's
         position in the runner's shard, a ``str`` matches as a substring of
-        the ``job_id``, ``None`` matches every job.  Ignored by
-        ``kill-worker`` (workers do not know which job they serve).
+        the ``job_id``, ``None`` matches every job.
     attempt:
         Which attempt the fault fires on (1-based).  ``None`` fires on
         every attempt — a ``raise`` spec with ``attempt=None`` survives all
         retries and drives the job into quarantine.
     times:
-        Firing budget of token-claimed kinds (``kill-worker`` /
-        ``truncate-store``), enforced across processes via the plan's
-        state directory.
+        Firing budget of token-claimed kinds (``truncate-store`` and the
+        generation-boundary kinds), enforced across processes via the
+        plan's state directory.
     duration:
         Sleep length of a ``hang`` fault, seconds.
     truncate_bytes:
@@ -153,10 +149,9 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of faults, shared across processes.
 
-    The plan is picklable (it travels to pool workers inside the
-    evaluator) and all cross-process coordination goes through one-shot
-    token files under ``state_dir``, so firing counts are exact no matter
-    how many workers, retries or resumed runs consult the same plan.
+    All cross-process coordination goes through one-shot token files
+    under ``state_dir``, so firing counts are exact no matter how many
+    shards, retries or resumed runs consult the same plan.
     """
 
     def __init__(
@@ -186,7 +181,7 @@ class FaultPlan:
         Example::
 
             [{"kind": "raise", "job": 1, "attempt": 1},
-             {"kind": "kill-worker"}]
+             {"kind": "truncate-store", "job": 2}]
         """
         data = json.loads(text)
         if not isinstance(data, list):
@@ -271,19 +266,6 @@ class FaultPlan:
                 else:
                     os.kill(os.getpid(), signal.SIGTERM)
                 break
-
-    def on_worker_chunk(self) -> None:
-        """Worker hook: die hard if a ``kill-worker`` firing is unclaimed.
-
-        ``os._exit`` skips all cleanup, exactly like a SIGKILL from the
-        OOM-killer — the parent observes a broken process pool.
-        """
-        for position, spec in enumerate(self.specs):
-            if spec.kind != "kill-worker":
-                continue
-            for shot in range(spec.times):
-                if self._claim(f"kill-{position}-{shot}"):
-                    os._exit(1)
 
     def after_append(self, path: Union[str, Path], job_id: str,
                      index: int, attempt: int) -> None:

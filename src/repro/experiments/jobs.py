@@ -148,7 +148,7 @@ class JobSpec:
 
     @property
     def framework_key(self) -> Tuple:
-        """Jobs with equal keys can share one framework (and worker pool)."""
+        """Jobs with equal keys can share one framework (and its caches)."""
         return (
             self.model,
             self.platform,
@@ -208,7 +208,7 @@ def build_framework(
 ) -> CoOptimizationFramework:
     """Build the co-optimization framework a spec's searches run through.
 
-    Engine knobs that never change results — workers, memoization, the
+    Engine knobs that never change results — memoization and the
     persistent ``cache_dir`` tier — arrive via
     ``settings.framework_options()`` and stay out of job identities;
     knobs that *do* change what a search computes (backend, objective,

@@ -14,8 +14,8 @@ This module is the shared engine they now compile into:
   checks programmatically and through ``--verify-store``).
 * :class:`SweepRunner` — executes a list of :class:`JobSpec` jobs through
   shared :class:`CoOptimizationFramework` instances (one per
-  model/platform/constraint combination, so evaluation caches and worker
-  pools are reused across jobs), streams results to the store, and supports
+  model/platform/constraint combination, so evaluation caches are reused
+  across jobs), streams results to the store, and supports
   ``resume`` (skip jobs whose ids are already stored) and ``shard i/N``
   (take every N-th job of the full list).  Every job runs inside an error
   boundary: exceptions become failure records and the sweep continues,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -443,7 +444,7 @@ def pin_settings_backend(
 
 
 class SweepRunner:
-    """Execute a job list through shared framework/worker-pool lifecycles.
+    """Execute a job list through shared framework lifecycles.
 
     Every job runs inside an error boundary: an exception (or watchdog
     timeout) becomes a structured failure record in the store and the sweep
@@ -457,7 +458,7 @@ class SweepRunner:
     jobs:
         The full sweep, in a deterministic order (sharding depends on it).
     settings:
-        Evaluation-engine knobs shared by every job (cache, workers,
+        Evaluation-engine knobs shared by every job (cache, engine,
         bytes-per-element) plus the reliability knobs (``retries``,
         ``retry_backoff``, ``job_timeout``, ``durability``,
         ``fault_plan``).  ``models`` / ``sampling_budget`` / ``seed`` on
@@ -596,9 +597,9 @@ class SweepRunner:
                 if cache_last_use[spec.evaluator_cache_key] == position:
                     shared_caches.pop(spec.evaluator_cache_key, None)
         finally:
-            # Close every shared pool even when a framework's own close
-            # raises (e.g. a pool broken by a killed worker) — the
-            # exception path must not leak the other frameworks' pools.
+            # Close every framework even when one close raises, so the
+            # exception path flushes and closes the other frameworks'
+            # cache tiers and checkpoint sessions too.
             for framework in frameworks.values():
                 try:
                     framework.close()
@@ -621,9 +622,9 @@ class SweepRunner:
         Each attempt runs inside a try boundary: the failure is recorded to
         the store (with error, traceback, attempt number and elapsed time),
         the job's framework is discarded (a timed-out search may still be
-        running on its watchdog thread; a crashed one may hold a broken
-        pool), and the next attempt starts from a fresh framework after an
-        exponentially backed-off, deterministically jittered pause.
+        running on its watchdog thread), and the next attempt starts from
+        a fresh framework after an exponentially backed-off,
+        deterministically jittered pause.
         :class:`SweepAborted` (the fault harness's simulated hard crash)
         is never caught — it stops the sweep like a real crash would.
         """
@@ -812,12 +813,11 @@ class SweepRunner:
     ) -> None:
         """Drop a failed job's framework so the retry starts fresh.
 
-        A timed-out attempt may still be executing on its watchdog thread
-        and a crashed one may hold a broken worker pool, so the framework
-        is shut down without waiting and never reused.  Its checkpoint
+        A timed-out attempt may still be executing on its watchdog thread,
+        so the framework is closed and never reused.  Its checkpoint
         sessions are closed first: the abandoned thread must not overwrite
-        the checkpoint the retry is about to resume from.  (The close race
-        is benign — at most one already-in-flight save can land, and any
+        the checkpoint the retry is about to resume from.  (The close race is
+        benign — at most one already-in-flight save can land, and any
         generation-boundary checkpoint of the same search resumes to the
         same bit-identical end state.)
         """
@@ -830,7 +830,7 @@ class SweepRunner:
             except Exception:
                 pass
         try:
-            framework.evaluator.shutdown(wait=False)
+            framework.evaluator.close()
         except Exception:
             pass
 
@@ -1000,12 +1000,30 @@ def full_outcomes(
 # -- shared CLI plumbing -------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse ``type=`` for a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def bounded(
+    convert: Callable[[str], float], low: float, inclusive: bool = True
+) -> Callable[[str], float]:
+    """argparse ``type=`` for a finite number at least ``low`` (above it if
+    not ``inclusive``), so a value out of range is a usage error."""
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not (value >= low if inclusive else value > low):
+            relation = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {low}, got {value}"
+            )
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        return value
+
+    # argparse names the type in its "invalid <name> value" message.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+#: argparse ``type=`` for a count that must be at least 1.
+positive_int = bounded(int, 1)
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1029,12 +1047,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "jobs whose latest record is a retryable failure",
     )
     parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="process-pool width for batched population evaluation",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default="vector",
@@ -1056,19 +1068,19 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="persistent cross-run layer-cache directory shared by every "
-        "job and worker; rows are bit-identical to engine pricing, so "
+        "job, shard and run; rows are bit-identical to engine pricing, so "
         "warm reruns only get faster (see repro.cost.persist)",
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=bounded(int, 0),
         default=0,
         help="extra attempts per failed job before it is quarantined "
         "(default: 0, no retry)",
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=bounded(float, 0),
         default=0.1,
         metavar="SECONDS",
         help="base pause between attempts; attempt k waits "
@@ -1076,7 +1088,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--job-timeout",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock timeout enforced by a watchdog; a "
@@ -1112,7 +1124,8 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="JSON",
         help="chaos testing: JSON list of fault specs to inject, e.g. "
-        '\'[{"kind": "raise", "job": 1}, {"kind": "kill-worker"}]\' '
+        '\'[{"kind": "raise", "job": 1}, '
+        '{"kind": "truncate-store", "job": 2}]\' '
         "(see repro.experiments.faults)",
     )
 
@@ -1135,7 +1148,6 @@ def settings_from_args(
         models=tuple(models) if models is not None else DEFAULT_MODELS,
         sampling_budget=args.budget,
         seed=args.seed,
-        workers=args.workers,
         engine=getattr(args, "engine", "vector"),
         backend=getattr(args, "backend", "analytic"),
         cache_dir=getattr(args, "cache_dir", None),

@@ -60,9 +60,8 @@ DEFAULT_SAMPLING_BUDGET = 1_500
 class ExperimentSettings:
     """Knobs shared by the Fig. 5 / Fig. 6 / Fig. 7 harnesses.
 
-    ``use_cache``, ``workers`` and ``engine`` configure the evaluation
-    engine of every search the harness runs: memoization on/off, the
-    optional process-pool width for batched population evaluation, and the
+    ``use_cache`` and ``engine`` configure the evaluation engine of every
+    search the harness runs: memoization on/off and the
     vector/fast/reference engine selector (results are bit-identical for
     every combination).  A job spec may pin its own engine, which
     overrides the settings value for that job.
@@ -81,7 +80,6 @@ class ExperimentSettings:
     seed: int = 0
     bytes_per_element: int = 1
     use_cache: bool = True
-    workers: Optional[int] = None
     engine: str = "vector"
     #: Cost-backend selector (:mod:`repro.cost.backend`).  Unlike
     #: ``engine``, the backend changes what a search computes, so it joins
@@ -91,7 +89,7 @@ class ExperimentSettings:
     #: (:class:`~repro.cost.persist.PersistentLayerCache`).  Purely an
     #: accelerator: cached rows are bit-identical to engine pricing, so the
     #: directory does not join job identities and one directory may be
-    #: shared by every job, worker and run.
+    #: shared by every job, shard and run.
     cache_dir: Optional[str] = None
     #: Extra attempts per failed job (0 = one attempt, no retry).
     retries: int = 0
@@ -120,8 +118,6 @@ class ExperimentSettings:
     def __post_init__(self) -> None:
         if self.sampling_budget < 1:
             raise ValueError("sampling_budget must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 when given")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
@@ -155,7 +151,6 @@ class ExperimentSettings:
         """Evaluation-engine kwargs for :class:`CoOptimizationFramework`."""
         return {
             "use_cache": self.use_cache,
-            "workers": self.workers,
             "cache_dir": self.cache_dir,
         }
 

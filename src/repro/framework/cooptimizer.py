@@ -66,11 +66,10 @@ class CoOptimizationFramework:
     buffer_allocation:
         Buffer allocation strategy forwarded to the evaluator
         (``"exact"`` or ``"fill"``).
-    use_cache / workers / engine:
+    use_cache / engine:
         Evaluation-engine knobs forwarded to the evaluator: memoization
-        on/off, process-pool width for batched population evaluation and
-        the vector/fast/reference engine selector (``"vector"`` by
-        default).  Every combination produces bit-identical results.
+        on/off and the vector/fast/reference engine selector (``"vector"``
+        by default).  Every combination produces bit-identical results.
     backend:
         Cost-backend selector forwarded to the evaluator (``"analytic"``
         by default; ``"zigzag"`` swaps in the independently coded
@@ -101,7 +100,6 @@ class CoOptimizationFramework:
         bytes_per_element: int = 1,
         buffer_allocation: str = "exact",
         use_cache: bool = True,
-        workers: Optional[int] = None,
         engine: str = "vector",
         objectives: Union[ObjectiveSet, Iterable[str], str, None] = None,
         backend: str = "analytic",
@@ -128,7 +126,6 @@ class CoOptimizationFramework:
             bytes_per_element=bytes_per_element,
             buffer_allocation=buffer_allocation,
             use_cache=use_cache,
-            workers=workers,
             engine=engine,
             objectives=objectives,
             backend=backend,
@@ -142,11 +139,11 @@ class CoOptimizationFramework:
         self.checkpoint_sessions: List[CheckpointSession] = []
 
     def close(self) -> None:
-        """Release evaluator resources (worker pool, caches, checkpoints)."""
+        """Close checkpoint sessions, then flush and close the cache tier."""
         for session in self.checkpoint_sessions:
             session.close()
         self.checkpoint_sessions.clear()
-        self.evaluator.shutdown()
+        self.evaluator.close()
 
     def __enter__(self) -> "CoOptimizationFramework":
         return self

@@ -9,8 +9,6 @@ can be plugged into the Optimization Block unchanged.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -52,46 +50,12 @@ DEFAULT_DESIGN_CACHE_SIZE = 2048
 #: of truth: job specs, experiment settings and the CLIs import this.
 ENGINES = ("vector", "fast", "reference")
 
-#: How many times a broken worker pool is respawned over an evaluator's
-#: lifetime before it degrades (stickily) to in-process evaluation.  A pool
-#: that keeps dying is usually being OOM-killed, and respawning it forever
-#: just thrashes the machine.
-DEFAULT_MAX_POOL_RESTARTS = 2
-
 #: Clock default :meth:`DesignEvaluator._score` gives derived hardware,
 #: which it builds without ``HardwareConfig.__init__`` — taken from the
 #: dataclass itself so a changed default cannot be missed.
 _DEFAULT_FREQUENCY_MHZ = HardwareConfig.__dataclass_fields__[
     "frequency_mhz"
 ].default
-
-#: Evaluator installed in each worker process (see ``_init_worker``).
-_WORKER_EVALUATOR: Optional["DesignEvaluator"] = None
-
-
-def _init_worker(evaluator: "DesignEvaluator") -> None:
-    """Install the pickled evaluator once per worker process."""
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
-
-
-def _fire_worker_faults() -> None:
-    """Chaos hook: let an installed fault plan kill this worker process.
-
-    The plan travels into the worker pickled inside the evaluator (see
-    ``_init_worker``); outside fault-injection runs ``fault_plan`` is None
-    and this is a no-op attribute check.
-    """
-    plan = getattr(_WORKER_EVALUATOR, "fault_plan", None)
-    if plan is not None:
-        plan.on_worker_chunk()
-
-
-def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> List["EvaluationResult"]:
-    """Evaluate a gene-matrix chunk in a worker process (pool map target)."""
-    _fire_worker_faults()
-    return _WORKER_EVALUATOR.evaluate_matrix(matrix, workers=1)
-
 
 def _with_genome(result: "EvaluationResult", genome: Genome) -> "EvaluationResult":
     """A copy of ``result`` carrying ``genome``, without the __init__ cost.
@@ -199,9 +163,6 @@ class DesignEvaluator:
         When True (default) memoize whole-design and per-layer evaluations
         behind bounded LRU caches.  Results are bit-identical either way;
         the flag exists for benchmarking and debugging (``--no-cache``).
-    workers:
-        Default process-pool width for :meth:`evaluate_population` and
-        :meth:`evaluate_matrix`.  ``None``/``1`` evaluates in-process.
     engine:
         Evaluation-engine selector.  ``"vector"`` (default) batches whole
         populations through the NumPy structure-of-arrays engine
@@ -227,11 +188,11 @@ class DesignEvaluator:
         (:class:`~repro.cost.persist.PersistentLayerCache`).  The
         in-memory layer LRU becomes an L1 over this shared on-disk L2:
         misses probe the store before the engine and freshly priced rows
-        are written back, so identical queries across worker processes,
-        sweep jobs and successive runs become lookups.  Results are
-        bit-identical with or without it (served rows are pure functions
-        of their content-addressed keys); ignored when ``use_cache`` is
-        False or on the reference engine.
+        are written back, so identical queries across sweep jobs,
+        concurrent processes and successive runs become lookups.  Results
+        are bit-identical with or without it (served rows are pure
+        functions of their content-addressed keys); ignored when
+        ``use_cache`` is False or on the reference engine.
     """
 
     #: Accepted ``engine`` values (the module-level constant).
@@ -251,7 +212,6 @@ class DesignEvaluator:
         bytes_per_element: int = 1,
         buffer_allocation: str = "exact",
         use_cache: bool = True,
-        workers: Optional[int] = None,
         engine: str = "vector",
         objectives: Optional[ObjectiveSet] = None,
         backend: str = "analytic",
@@ -261,8 +221,6 @@ class DesignEvaluator:
             raise ValueError(
                 f"buffer_allocation must be 'exact' or 'fill', got {buffer_allocation!r}"
             )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1 when given, got {workers}")
         if bytes_per_element < 1:
             raise ValueError("bytes_per_element must be >= 1")
         if engine not in self.ENGINES:
@@ -285,7 +243,6 @@ class DesignEvaluator:
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.bytes_per_element = bytes_per_element
         self.use_cache = use_cache
-        self.workers = workers
         self.cost_model = create_backend(
             backend,
             energy_model=self.energy_model,
@@ -307,25 +264,11 @@ class DesignEvaluator:
         self._design_cache = LRUCache(
             DEFAULT_DESIGN_CACHE_SIZE if use_cache and engine != "reference" else 0
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = 0
-        #: Optional :class:`~repro.experiments.faults.FaultPlan`; ships to
-        #: pool workers inside the pickled evaluator so chaos tests can
-        #: kill workers deterministically.  ``None`` in production.
+        #: Optional :class:`~repro.experiments.faults.FaultPlan`, read by
+        #: the search tracker at generation boundaries so chaos tests can
+        #: preempt or stall a search deterministically.  ``None`` in
+        #: production.
         self.fault_plan = None
-        #: Lifetime cap on worker-pool respawns after ``BrokenProcessPool``.
-        self.max_pool_restarts = DEFAULT_MAX_POOL_RESTARTS
-        self._pool_restarts = 0
-        #: Sticky: once the restart budget is spent, every later population
-        #: call evaluates in-process instead of thrashing a dying pool.
-        self._pool_degraded = False
-        #: Observability counters for the pool-recovery path.
-        self.pool_stats = {
-            "broken": 0,
-            "restarts": 0,
-            "redispatched_chunks": 0,
-            "degraded": False,
-        }
 
     # -- public API --------------------------------------------------------
 
@@ -361,34 +304,29 @@ class DesignEvaluator:
         return _with_genome(result, genome)
 
     def evaluate_population(
-        self,
-        genomes: Sequence[Genome],
-        workers: Optional[int] = None,
+        self, genomes: Sequence[Genome]
     ) -> List[EvaluationResult]:
         """Score a whole population in one call, preserving input order.
 
-        Under the vector engine with the analytic backend, or whenever a
-        worker pool is used (``workers``, default: the evaluator's
-        ``workers`` setting), the genomes are packed into a
-        :class:`GenomeMatrix` and priced by :meth:`evaluate_matrix`, the one
-        population data path.  Packing raises spatial and tile genes below
-        1 to 1, exactly as :meth:`Genome.cache_key` does.  A single genome,
-        or a scalar engine without a pool, takes the per-genome
-        :meth:`evaluate_genome` loop.  Results are bit-identical either way,
-        because every evaluation is a pure function of its genome, and each
-        carries the caller's own genome object.
+        Under the vector engine with the analytic backend, the genomes are
+        packed into a :class:`GenomeMatrix` and priced by
+        :meth:`evaluate_matrix`, the one population data path.  Packing
+        raises spatial and tile genes below 1 to 1, exactly as
+        :meth:`Genome.cache_key` does.  A single genome, a scalar engine or
+        another backend takes the per-genome :meth:`evaluate_genome` loop.
+        Results are bit-identical either way, because every evaluation is a
+        pure function of its genome, and each carries the caller's own
+        genome object.
         """
         genomes = list(genomes)
-        width = self.workers if workers is None else workers
-        pooled = width is not None and width > 1 and not self._pool_degraded
         vector = self.engine == "vector" and self.backend == "analytic"
-        if len(genomes) < 2 or not (pooled or vector):
+        if len(genomes) < 2 or not vector:
             return [self.evaluate_genome(genome) for genome in genomes]
         matrix = GenomeMatrix.from_genomes(genomes)
         levels = matrix.data.reshape(len(matrix), matrix.num_levels, LEVEL_WIDTH)
         for genes in (levels[:, :, SPATIAL_COL], levels[:, :, TILE_COLS]):
             np.maximum(genes, 1, out=genes)
-        results = self.evaluate_matrix(matrix, workers)
+        results = self.evaluate_matrix(matrix)
         return [
             _with_genome(result, genome)
             for result, genome in zip(results, genomes)
@@ -396,11 +334,7 @@ class DesignEvaluator:
 
     # -- gene-matrix population path ---------------------------------------
 
-    def evaluate_matrix(
-        self,
-        matrix: GenomeMatrix,
-        workers: Optional[int] = None,
-    ) -> List[EvaluationResult]:
+    def evaluate_matrix(self, matrix: GenomeMatrix) -> List[EvaluationResult]:
         """Score a whole *repaired* gene-matrix population in one call.
 
         This is the population data path the matrix-native search loops
@@ -414,42 +348,21 @@ class DesignEvaluator:
         packed matrix entry directly, and genomes on the returned results
         materialize lazily.
         """
-        count = len(matrix)
-        if count == 0:
+        if len(matrix) == 0:
             return []
-        width = self.workers if workers is None else workers
-        if (
-            width is not None
-            and width > 1
-            and count > 1
-            and not self._pool_degraded
-        ):
-            chunk = -(-count // width)
-            chunks = [
-                GenomeMatrix(matrix.data[start : start + chunk], matrix.num_levels)
-                for start in range(0, count, chunk)
-            ]
-            batches = self._map_chunks(
-                _evaluate_matrix_in_worker,
-                chunks,
-                width,
-                lambda piece: self.evaluate_matrix(piece, workers=1),
-            )
-            return [result for batch in batches for result in batch]
         if self.engine != "vector" or self.backend != "analytic":
             # The scalar engines (and non-analytic backends) take the
             # genome path; under the analytic backend values are
             # bit-identical, so matrix-native search loops stay exact under
             # every engine selector.  Hierarchy depth is no gate: the
             # vector path prices 1-, 2- and 3+-level matrices natively.
-            genomes = matrix.to_genomes()
-            return self.evaluate_population(genomes, workers=1)
+            return self.evaluate_population(matrix.to_genomes())
         return self._evaluate_matrix_vector(matrix)
 
     def _evaluate_matrix_vector(
         self, matrix: GenomeMatrix
     ) -> List[EvaluationResult]:
-        """In-process vector-engine path of :meth:`evaluate_matrix`."""
+        """Vector-engine path of :meth:`evaluate_matrix`."""
         data = matrix.data
         count = len(data)
         orders = data.reshape(count, matrix.num_levels, 14)[:, :, 2:8]
@@ -534,115 +447,22 @@ class DesignEvaluator:
         self._design_cache.clear()
         self.cost_model.cache_clear()
 
-    def _map_chunks(
-        self,
-        worker_fn: Callable,
-        chunks: List,
-        width: int,
-        local_fn: Callable,
-    ) -> List[List[EvaluationResult]]:
-        """Map deterministic chunks over the pool, surviving dead workers.
+    def close(self) -> None:
+        """Flush and close the persistent cache tier, if one is attached.
 
-        ``pool.map`` yields chunk results in input order, so when a worker
-        dies (OOM-killer, segfault, injected ``kill-worker`` fault) and the
-        iteration raises :class:`BrokenProcessPool`, every chunk already
-        yielded is kept and exactly the undelivered chunks are re-dispatched
-        — against a respawned pool while the lifetime restart budget
-        (:attr:`max_pool_restarts`) lasts, and in-process through
-        ``local_fn`` once it is spent (:attr:`_pool_degraded` then stays
-        set, so later population calls skip the pool entirely).  The chunk
-        boundaries never change across re-dispatches and every evaluation
-        is a pure function of its genome, so results are bit-identical to
-        an undisturbed pool run.
+        The close is not terminal (the next lookup reopens the store), so
+        closing one evaluator never strands a tier shared with other jobs
+        through ``adopt_cache``.
         """
-        outputs: List[Optional[List[EvaluationResult]]] = [None] * len(chunks)
-        pending = list(range(len(chunks)))
-        while pending:
-            if self._pool_degraded:
-                for index in pending:
-                    outputs[index] = local_fn(chunks[index])
-                break
-            pool = self._ensure_pool(width)
-            try:
-                cursor = 0
-                for batch in pool.map(
-                    worker_fn, [chunks[index] for index in pending]
-                ):
-                    outputs[pending[cursor]] = batch
-                    cursor += 1
-                pending = []
-            except BrokenProcessPool:
-                self.pool_stats["broken"] += 1
-                self._teardown_pool()
-                pending = [index for index in pending if outputs[index] is None]
-                self.pool_stats["redispatched_chunks"] += len(pending)
-                if self._pool_restarts >= self.max_pool_restarts:
-                    self._pool_degraded = True
-                    self.pool_stats["degraded"] = True
-                else:
-                    self._pool_restarts += 1
-                    self.pool_stats["restarts"] += 1
-        return outputs
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Tear down the worker pool (if one was started).
-
-        ``wait=False`` abandons in-flight work instead of joining it — the
-        right call when discarding an evaluator whose pool may be broken or
-        whose search may still be running on a watchdog thread.
-
-        A persistent cache tier is flushed and its index persisted; the
-        close is not terminal (the next lookup reopens the store), so
-        shutting one evaluator down never strands a tier shared with
-        other jobs through ``adopt_cache``.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-            self._pool = None
-            self._pool_workers = 0
         tier = self.cost_model.layer_cache.tier
         if tier is not None:
             tier.close()
-
-    def close(self) -> None:
-        """Alias of :meth:`shutdown` (context-manager symmetry)."""
-        self.shutdown()
 
     def __enter__(self) -> "DesignEvaluator":
         return self
 
     def __exit__(self, exc_type, exc_value, exc_traceback) -> None:
-        self.shutdown()
-
-    def _teardown_pool(self) -> None:
-        """Drop a (possibly broken) pool without joining its workers."""
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False)
-            except Exception:
-                pass
-            self._pool = None
-            self._pool_workers = 0
-
-    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        """Start (or resize) the lazily created evaluation worker pool."""
-        if self._pool is None or self._pool_workers != workers:
-            self.shutdown()
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(self,),
-            )
-            self._pool_workers = workers
-        return self._pool
-
-    def __getstate__(self) -> dict:
-        # Worker pools never cross process boundaries; caches restart
-        # empty in the worker (see LRUCache.__getstate__).
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        state["_pool_workers"] = 0
-        return state
+        self.close()
 
     def evaluate_mapping(
         self,

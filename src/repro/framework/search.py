@@ -10,7 +10,7 @@ use the batched views (:meth:`SearchTracker.evaluate_matrix`,
 :meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
 generation in one evaluator call on the one gene-matrix pipeline, under
 every engine, which keeps the memoized evaluation engine hot and lets the
-evaluator fan the work out over worker processes.
+vector engine price the whole generation in one NumPy pass.
 """
 
 from __future__ import annotations

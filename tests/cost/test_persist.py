@@ -533,33 +533,6 @@ class TestFrameworkWarmRerun:
         assert warm_result.best.fitness == cold_result.best.fitness
         assert warm_result.history == cold_result.history
 
-    def test_pool_workers_write_the_shared_store(
-        self, tiny_model, edge_platform, tmp_path
-    ):
-        # Workers receive the tier by pickle (path, not contents) and
-        # append to the same files; a later in-process run must be warm.
-        pooled = CoOptimizationFramework(
-            tiny_model,
-            edge_platform,
-            objective=Objective.LATENCY,
-            workers=2,
-            cache_dir=str(tmp_path),
-        )
-        try:
-            cold_result = pooled.search(
-                get_optimizer("stdga"), sampling_budget=60, seed=3
-            )
-        finally:
-            pooled.close()
-        assert PersistentLayerCache(tmp_path).entries > 0
-
-        warm_result, warm = self._search(
-            tiny_model, edge_platform, tmp_path, optimizer="stdga"
-        )
-        requests = warm["l2_hits"] + warm["l2_misses"]
-        assert requests > 0 and warm["l2_hits"] / requests >= 0.9
-        assert warm_result.best.fitness == cold_result.best.fitness
-
     def test_results_identical_with_and_without_tier(
         self, tiny_model, edge_platform, tmp_path
     ):

@@ -1,8 +1,8 @@
 """Chaos tests: the fault harness and the runner's reliability layer.
 
 Every failure mode the reliability layer claims to survive is injected here
-deterministically: jobs that raise, worker processes that die, searches
-that hang past the watchdog and stores truncated mid-append.  The headline
+deterministically: jobs that raise, searches that hang past the watchdog
+and stores truncated mid-append.  The headline
 acceptance test checks that a faulted-then-resumed sweep converges to the
 same successful-record set as a fault-free run.
 """
@@ -70,7 +70,7 @@ class TestFaultPlanParsing:
     def test_json_round_trip(self, tmp_path):
         plan = FaultPlan.from_json(
             '[{"kind": "raise", "job": 1, "attempt": 2},'
-            ' {"kind": "kill-worker", "times": 3}]',
+            ' {"kind": "truncate-store", "times": 3}]',
             state_dir=tmp_path,
         )
         rebuilt = FaultPlan.from_json(plan.to_json(), state_dir=tmp_path)
@@ -326,26 +326,25 @@ class TestWatchdogTimeout:
 
 class TestChaosSweepConvergence:
     def test_faulted_sweep_resumes_to_fault_free_equivalence(self, tmp_path):
-        """The acceptance scenario: raise + kill-worker + simulated crash.
+        """The acceptance scenario: raise + simulated crash.
 
-        Run 1 hits an injected exception (retried to success), a killed
-        pool worker (pool respawned) and a store truncation that aborts
-        the sweep mid-run.  The resumed run 2 finishes the remaining jobs.
-        The canonical successful records must equal a fault-free run's —
-        the reliability layer may cost time, never results.
+        Run 1 hits an injected exception (retried to success) and a store
+        truncation that aborts the sweep mid-run.  The resumed run 2
+        finishes the remaining jobs.  The canonical successful records
+        must equal a fault-free run's — the reliability layer may cost
+        time, never results.
         """
         optimizers = ("random", "cma", "digamma")
         jobs = tiny_jobs(optimizers)
         plan = FaultPlan(
             [
                 FaultSpec(kind="raise", job=0, attempt=1),
-                FaultSpec(kind="kill-worker", times=1),
                 FaultSpec(kind="truncate-store", job=1, attempt=None, times=1),
             ],
             state_dir=tmp_path / "faults",
         )
         faulted_path = tmp_path / "faulted.jsonl"
-        chaos_settings = tiny_settings(workers=2, retries=2, fault_plan=plan)
+        chaos_settings = tiny_settings(retries=2, fault_plan=plan)
         with pytest.raises(SweepAborted):
             SweepRunner(jobs, settings=chaos_settings, store=faulted_path).run()
         # The simulated crash left a half-written line behind.
@@ -363,15 +362,13 @@ class TestChaosSweepConvergence:
 
         clean_path = tmp_path / "clean.jsonl"
         SweepRunner(
-            jobs, settings=tiny_settings(workers=2), store=clean_path
+            jobs, settings=tiny_settings(), store=clean_path
         ).run()
         assert canonical_records(faulted_path) == canonical_records(clean_path)
         assert len(canonical_records(faulted_path)) == len(jobs)
 
-        # The injected faults actually fired (exactly once each where
-        # one-shot): the kill and truncate tokens are claimed.
+        # The one-shot truncation actually fired: its token is claimed.
         tokens = plan.claimed_tokens()
-        assert any(token.startswith("kill-") for token in tokens)
         assert any(token.startswith("truncate-") for token in tokens)
 
 

@@ -28,8 +28,6 @@ class TestConstants:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             ExperimentSettings(sampling_budget=0)
-        with pytest.raises(ValueError):
-            ExperimentSettings(workers=0)
 
     def test_reliability_knob_validation(self):
         with pytest.raises(ValueError):
@@ -55,16 +53,13 @@ class TestConstants:
     def test_engine_knobs_default_and_forward(self):
         settings = ExperimentSettings()
         assert settings.use_cache is True
-        assert settings.workers is None
         assert settings.framework_options() == {
             "use_cache": True,
-            "workers": None,
             "cache_dir": None,
         }
-        tuned = ExperimentSettings(use_cache=False, workers=2, cache_dir="/tmp/l2")
+        tuned = ExperimentSettings(use_cache=False, cache_dir="/tmp/l2")
         assert tuned.framework_options() == {
             "use_cache": False,
-            "workers": 2,
             "cache_dir": "/tmp/l2",
         }
 

@@ -1,4 +1,4 @@
-"""Parity of cached / batched / parallel evaluation with the plain path.
+"""Parity of cached and batched evaluation with the plain path.
 
 The ISSUE-level acceptance criterion: over a seeded sweep of random
 repaired genomes on ``resnet18`` (edge and cloud), cached vs uncached and
@@ -14,7 +14,7 @@ import pytest
 from repro.arch.platform import CLOUD, EDGE
 from repro.encoding.genome_matrix import GenomeMatrix
 from repro.encoding.repair import repair_genome
-from repro.framework.evaluator import DesignEvaluator
+from repro.framework.evaluator import ENGINES, DesignEvaluator
 from repro.framework.search import SearchTracker
 from repro.workloads.dims import DIM_INDEX
 from repro.workloads.registry import get_model
@@ -132,51 +132,6 @@ class TestBatchedVsSequential:
         assert fits_batch == fits_loop
 
 
-class TestWorkerPool:
-    def test_process_pool_matches_sequential(self, resnet18):
-        try:
-            parallel = DesignEvaluator(model=resnet18, platform=EDGE, workers=2)
-            sequential = DesignEvaluator(model=resnet18, platform=EDGE)
-            _, genomes = _seeded_genomes(sequential, 8, seed=13)
-            results_parallel = parallel.evaluate_population(genomes)
-        except (OSError, PermissionError) as error:  # pragma: no cover
-            pytest.skip(f"process pools unavailable here: {error}")
-        finally:
-            try:
-                parallel.shutdown()
-            except Exception:  # pragma: no cover
-                pass
-        results_sequential = sequential.evaluate_population(genomes)
-        for a, b in zip(results_parallel, results_sequential):
-            assert a.fitness == b.fitness
-            assert a.latency == b.latency
-            assert a.energy == b.energy
-
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_pooled_scalar_engines_return_in_process_results(
-        self, resnet18, engine
-    ):
-        pooled = DesignEvaluator(
-            model=resnet18, platform=EDGE, engine=engine, workers=2
-        )
-        local = DesignEvaluator(model=resnet18, platform=EDGE, engine=engine)
-        _, genomes = _seeded_genomes(local, 6, seed=19)
-        try:
-            results = pooled.evaluate_population(genomes)
-        finally:
-            pooled.shutdown()
-        expected = local.evaluate_population(genomes)
-        for result, want, genome in zip(results, expected, genomes):
-            assert result.genome is genome
-            assert result.fitness == want.fitness
-            assert result.latency == want.latency
-            assert result.energy == want.energy
-
-    def test_invalid_worker_count_rejected(self, resnet18):
-        with pytest.raises(ValueError):
-            DesignEvaluator(model=resnet18, platform=EDGE, workers=0)
-
-
 class TestSearchTrajectoryParity:
     """End-to-end: a whole GA search is unchanged by caching/batching."""
 
@@ -260,6 +215,19 @@ class TestVectorEngineParity:
             assert a.fitness == b.fitness
             assert a.latency == b.latency
             assert a.design.hardware == b.design.hardware
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_population_results_carry_the_callers_genomes(
+        self, resnet18, engine
+    ):
+        evaluator = DesignEvaluator(model=resnet18, platform=EDGE, engine=engine)
+        _, genomes = _seeded_genomes(evaluator, 6, seed=19)
+        # Equal copies hit the design memo and still get their own object.
+        genomes = genomes + [genome.copy() for genome in genomes[:3]]
+        results = evaluator.evaluate_population(genomes)
+        assert len(results) == len(genomes)
+        for result, genome in zip(results, genomes):
+            assert result.genome is genome
 
     def test_rejects_unknown_engine(self, resnet18):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from repro.arch.hardware import HardwareConfig
 from repro.arch.platform import EDGE
 from repro.encoding.genome import Genome
-from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.evaluator import INVALID_FITNESS_SCALE, DesignEvaluator
 from repro.framework.objective import Objective
@@ -129,76 +128,26 @@ def varied_genomes(layer, count=6):
 
 
 class TestContextManager:
-    def test_evaluator_context_manager_shuts_down_the_pool(self, tiny_model):
-        with DesignEvaluator(model=tiny_model, platform=EDGE) as evaluator:
-            genomes = varied_genomes(tiny_model.layers[0], count=4)
-            evaluator.evaluate_population(genomes, workers=2)
-            assert evaluator._pool is not None
-        assert evaluator._pool is None
-
-    def test_close_is_shutdown(self, tiny_model):
-        evaluator = DesignEvaluator(model=tiny_model, platform=EDGE, workers=2)
-        evaluator.evaluate_population(varied_genomes(tiny_model.layers[0], 4))
-        assert evaluator._pool is not None
-        evaluator.close()
-        assert evaluator._pool is None
-
-    def test_framework_context_manager(self, tiny_model):
-        with CoOptimizationFramework(tiny_model, EDGE) as framework:
-            genome = template_genome(tiny_model.layers[0])
-            assert framework.evaluator.evaluate_genome(genome).valid
-        assert framework.evaluator._pool is None
-
-
-class TestBrokenPoolRecovery:
-    def test_killed_worker_respawns_and_results_are_bit_identical(
-        self, tiny_model, tmp_path
-    ):
-        baseline = DesignEvaluator(model=tiny_model, platform=EDGE)
-        genomes = varied_genomes(tiny_model.layers[0])
-        expected = [
-            result.fitness for result in baseline.evaluate_population(genomes)
-        ]
-
-        evaluator = DesignEvaluator(model=tiny_model, platform=EDGE, workers=2)
-        evaluator.fault_plan = FaultPlan(
-            [FaultSpec(kind="kill-worker", times=1)], state_dir=tmp_path
-        )
-        try:
-            results = evaluator.evaluate_population(genomes)
-        finally:
-            evaluator.shutdown()
-        assert [result.fitness for result in results] == expected
-        assert evaluator.pool_stats["broken"] >= 1
-        assert evaluator.pool_stats["restarts"] >= 1
-        assert evaluator.pool_stats["redispatched_chunks"] >= 1
-        assert not evaluator.pool_stats["degraded"]
-
-    def test_exhausted_restart_budget_degrades_to_in_process(
-        self, tiny_model, tmp_path
-    ):
-        baseline = DesignEvaluator(model=tiny_model, platform=EDGE)
-        genomes = varied_genomes(tiny_model.layers[0])
-        expected = [
-            result.fitness for result in baseline.evaluate_population(genomes)
-        ]
-
-        evaluator = DesignEvaluator(model=tiny_model, platform=EDGE, workers=2)
-        evaluator.max_pool_restarts = 0
-        # Enough kill budget to break every respawned pool.
-        evaluator.fault_plan = FaultPlan(
-            [FaultSpec(kind="kill-worker", times=8)], state_dir=tmp_path
-        )
-        try:
-            results = evaluator.evaluate_population(genomes)
-            assert [result.fitness for result in results] == expected
-            assert evaluator.pool_stats["degraded"]
-            # Degradation is sticky: later calls never touch a pool again.
-            again = evaluator.evaluate_population(genomes)
-            assert [result.fitness for result in again] == expected
-            assert evaluator._pool is None
-        finally:
-            evaluator.shutdown()
+    def test_exit_flushes_and_closes_the_cache_tier(self, tiny_model, tmp_path):
+        genomes = varied_genomes(tiny_model.layers[0], count=4)
+        owners = {
+            "evaluator": lambda path: DesignEvaluator(
+                model=tiny_model, platform=EDGE, cache_dir=path
+            ),
+            "framework": lambda path: CoOptimizationFramework(
+                tiny_model, EDGE, cache_dir=path
+            ),
+        }
+        for name, make in owners.items():
+            with make(str(tmp_path / name)) as owner:
+                evaluator = getattr(owner, "evaluator", owner)
+                evaluator.evaluate_population(genomes)
+                tier = evaluator.persistent_cache
+                assert tier._descriptor is not None, name
+                assert not tier.index_path.exists(), name
+            assert tier.index_path.name == "layers.index"
+            assert tier.index_path.exists(), name
+            assert tier._descriptor is None, name
 
 
 class TestEvaluateMapping:

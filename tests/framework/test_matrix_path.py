@@ -309,17 +309,3 @@ class TestTrackerMatrixViews:
         fits_loop = [tracker_loop.evaluate_vector(vector) for vector in vectors]
         assert fits_batch == fits_loop
         assert tracker_batch.history == tracker_loop.history
-
-
-class TestWorkerPoolMatrixPath:
-    def test_worker_chunks_match_in_process(self, ncf):
-        pooled = DesignEvaluator(model=ncf, platform=EDGE, workers=2)
-        local = DesignEvaluator(model=ncf, platform=EDGE)
-        try:
-            _, _, matrix = _repaired_population(pooled, 9, seed=67)
-            pooled_results = pooled.evaluate_matrix(matrix)
-            local_results = local.evaluate_matrix(matrix)
-            for a, b in zip(pooled_results, local_results):
-                _assert_results_identical(a, b)
-        finally:
-            pooled.shutdown()

@@ -68,7 +68,6 @@ class Search:
     pareto: bool = False
     #: Compute share of a fixed-HW configuration (GAMMA's Fixed-HW case).
     fixed_compute_fraction: Optional[float] = None
-    workers: Optional[int] = None
 
     def run(self, engine: str, num_levels: int) -> dict:
         platform = get_platform(self.platform)
@@ -79,8 +78,6 @@ class Search:
             kwargs["fixed_hardware"] = make_fixed_hardware(
                 platform, self.fixed_compute_fraction
             )
-        if self.workers is not None:
-            kwargs["workers"] = self.workers
         framework = CoOptimizationFramework(
             get_model(self.model), platform, **kwargs
         )
@@ -130,7 +127,6 @@ VARIANT_SEARCHES = {
     "gamma-fixed-hw": Search(
         GammaMapper, budget=600, seed=3, fixed_compute_fraction=0.5
     ),
-    "stdga-workers2": Search(StandardGA, budget=600, seed=3, workers=2),
 }
 
 #: Recorded at depths 2 and 3 under the vector and fast engines.  Neither

@@ -107,14 +107,25 @@ class TestSearch:
         assert exit_code == 0
         assert "front of" in capsys.readouterr().out
 
-    def test_search_workers_flag_parses(self):
+    def test_search_no_cache_flag_parses(self):
         parser = build_parser()
-        args = parser.parse_args(["search", "--workers", "2", "--no-cache"])
-        assert args.workers == 2
-        assert args.no_cache is True
-        defaults = parser.parse_args(["search"])
-        assert defaults.workers is None
-        assert defaults.no_cache is False
+        assert parser.parse_args(["search", "--no-cache"]).no_cache is True
+        assert parser.parse_args(["search"]).no_cache is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--workers", "2"],
+            ["fig5", "--workers", "2"],
+            ["experiments", "--smoke", "--workers", "2"],
+        ],
+    )
+    def test_workers_flag_is_a_usage_error(self, argv, capsys):
+        # The in-search process pool is gone; sweeps parallelize by --shard.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -145,23 +156,32 @@ class TestParser:
             parser.parse_args([])
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["search", "--budget", "0"],
-            ["search", "--workers", "0"],
-            ["search", "--checkpoint-every", "0"],
-            ["experiments", "--smoke", "--checkpoint-every", "0"],
-            ["experiments", "--smoke", "--budget", "-3"],
-            ["fig5", "--workers", "0"],
-            ["evaluate", "--pe-rows", "0"],
-            ["evaluate", "--pe-cols", "-1"],
+            (["search", "--budget", "0"], "must be >= 1"),
+            (["search", "--checkpoint-every", "0"], "must be >= 1"),
+            (["experiments", "--smoke", "--checkpoint-every", "0"], "must be >= 1"),
+            (["experiments", "--smoke", "--budget", "-3"], "must be >= 1"),
+            (["experiments", "--smoke", "--retries", "-1"], "must be >= 0"),
+            (["experiments", "--smoke", "--retry-backoff", "-1"], "must be >= 0"),
+            (["experiments", "--smoke", "--retry-backoff", "nan"], "must be >= 0"),
+            (["experiments", "--smoke", "--job-timeout", "0"], "must be > 0"),
+            (["experiments", "--smoke", "--job-timeout", "inf"], "must be finite"),
+            (["experiments", "--smoke", "--retry-backoff", "inf"], "must be finite"),
+            (["fig5", "--budget", "0"], "must be >= 1"),
+            (["evaluate", "--pe-rows", "0"], "must be >= 1"),
+            (["evaluate", "--pe-cols", "-1"], "must be >= 1"),
+            (["crosscheck", "--designs", "1"], "must be >= 2"),
+            (["crosscheck", "--num-levels", "0"], "must be >= 1"),
+            (["search", "--budget", "many"], "invalid int value"),
+            (["experiments", "--smoke", "--job-timeout", "soon"], "invalid float value"),
         ],
     )
-    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+    def test_out_of_range_numbers_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_parser_defaults(self):
         parser = build_parser()

@@ -16,10 +16,13 @@ it in its own, documented commit.
 
 from __future__ import annotations
 
+import json
 import re
+import warnings
 from pathlib import Path
 
 from repro.__main__ import main
+from repro.cost.persist import PersistentCacheCorruption
 
 GOLDEN = Path(__file__).with_name("smoke_tables.golden.txt")
 
@@ -35,3 +38,30 @@ def test_smoke_sweep_tables_match_golden(capsys):
     argv = ["experiments", "--suite", "all", "--smoke", "--quiet"]
     assert main(argv + ["--platform", "both"]) == 0
     assert masked(capsys.readouterr().out) == GOLDEN.read_text()
+
+
+def test_stored_sweep_rerun_reads_every_row_from_its_cache_dir(tmp_path, capsys):
+    # Every framework of the sweep opens its own tier on the one cache
+    # directory.  A second run over that directory must print the first
+    # run's tables, find every layer row on disk and find no damage.
+    argv = ["experiments", "--suite", "all", "--smoke", "--quiet"]
+    argv += ["--platform", "both", "--cache-dir", str(tmp_path / "cache")]
+    tables = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in ("cold", "warm"):
+            store = tmp_path / f"{run}.jsonl"
+            assert main(argv + ["--store", str(store)]) == 0
+            tables.append(masked(capsys.readouterr().out))
+    assert tables[0] == tables[1]
+    assert not [
+        warning for warning in caught
+        if issubclass(warning.category, PersistentCacheCorruption)
+    ]
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "warm.jsonl").read_text().splitlines()
+    ]
+    l2 = [record["cache"].get("l2", {}) for record in records]
+    assert sum(section.get("hits", 0) for section in l2) > 0
+    assert [section.get("misses", 0) for section in l2] == [0] * len(records)

@@ -16,7 +16,8 @@ recorded values bit for bit:
 
 The CMA-ES and TBPSA entries were recorded from their
 one-candidate-per-call generation loops, at budgets that end in the middle
-of a generation.
+of a generation, and the ``grid-dla`` entries from the grid search that
+priced one template genome per call.
 
 Never re-record the file to make a test pass.  A change that alters a
 trajectory or an operator's draws on purpose re-records it in its own,
@@ -43,6 +44,7 @@ from repro.optim.cma import CMAES
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
 from repro.optim.gamma import GammaMapper
+from repro.optim.grid_search import HardwareGridSearch
 from repro.optim.nsga2 import NSGA2
 from repro.optim.random_search import RandomSearch
 from repro.optim.std_ga import StandardGA
@@ -126,6 +128,10 @@ VARIANT_SEARCHES = {
     ),
     "gamma-fixed-hw": Search(
         GammaMapper, budget=600, seed=3, fixed_compute_fraction=0.5
+    ),
+    "grid-dla": Search(
+        lambda: HardwareGridSearch("dla"),
+        budget=600, seed=3, model="resnet18",
     ),
 }
 

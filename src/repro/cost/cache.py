@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 
 @dataclass(frozen=True)
@@ -87,24 +87,6 @@ class LRUCache:
         self.data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: Identity tokens for objects embedded in byte-fingerprint keys
-        #: (the gene-matrix path numbers layer statics through this table).
-        #: Living on the cache — the shared artifact of ``adopt_cache`` —
-        #: guarantees every evaluator probing this cache numbers the same
-        #: statics object identically, and the table's references keep the
-        #: objects alive so a token can never be reissued to a different
-        #: object while fingerprints embedding it exist.  Deliberately
-        #: *not* dropped by :meth:`clear`: it is an identity table, not
-        #: cached values, and is bounded by the number of distinct layer
-        #: shapes ever seen.
-        self.tokens: Dict[Any, int] = {}
-        #: Optional persistent L2 tier
-        #: (:class:`~repro.cost.persist.PersistentLayerCache`).  It rides
-        #: on the cache instance so ``adopt_cache`` hands the shared tier
-        #: to every adopter along with the L1 contents; the cost models
-        #: probe it on L1 misses and write freshly priced rows back.
-        #: ``None`` keeps every lookup purely in-memory.
-        self.tier: Optional[Any] = None
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached value or ``None``, refreshing recency on a hit."""

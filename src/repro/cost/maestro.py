@@ -159,8 +159,9 @@ class CostModel:
 
     A cost backend is this class with its own per-layer pricer
     (:attr:`price_layer`) and its own persistent-tier namespace
-    (:attr:`backend_name`); the layer-report LRU, its L2 tier, cache
-    adoption and the stats are shared.  The ZigZag-style backend
+    (:attr:`backend_name`); the layer-report LRU, its optional L2 tier
+    and the stats are inherited.  Each instance owns its LRU, its tier and
+    its vector engine.  The ZigZag-style backend
     (:class:`repro.cost.zigzag.ZigZagCostModel`) is the other one.
 
     Parameters
@@ -195,6 +196,7 @@ class CostModel:
                 f"engine must be one of {self.engines}, got {self.engine!r}"
             )
         object.__setattr__(self, "_cache", LRUCache(self.cache_size))
+        object.__setattr__(self, "_tier", None)
         object.__setattr__(
             self, "_energy_coefficients", energy_coefficients(self.energy_model)
         )
@@ -222,33 +224,6 @@ class CostModel:
         """Drop all memoized layer reports and counters."""
         self._cache.clear()
 
-    @property
-    def layer_cache(self) -> LRUCache:
-        """The layer-report cache instance (shareable via :meth:`adopt_cache`)."""
-        return self._cache
-
-    def adopt_cache(self, cache: LRUCache) -> None:
-        """Swap in an externally owned layer-report cache.
-
-        The sweep runner uses this to hand one warm cache to every job that
-        shares a model x platform x constraint combination: per-layer
-        reports are pure functions of (statics, clipped mapping key,
-        bandwidths) — all part of the cache key (the gene-matrix path
-        numbers the statics through the cache's own token table, so every
-        adopter agrees on the fingerprints) — and reuse across objectives
-        and optimizers is sound.
-
-        A persistent L2 tier rides along: if this model's current cache
-        carries one and the adopted cache does not, the tier moves over,
-        so a sweep's shared warm caches stay backed by the shared on-disk
-        store (L2 digests embed no process- or cache-local state, so the
-        carry is always sound).
-        """
-        tier = self._cache.tier
-        if tier is not None and cache.tier is None:
-            cache.tier = tier
-        object.__setattr__(self, "_cache", cache)
-
     def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
         """Back the layer-report LRU with a persistent L2 tier.
 
@@ -257,7 +232,12 @@ class CostModel:
         are written back — all inside the cache-enabled branches, so
         ``use_cache=False`` keeps the tier inactive too.
         """
-        self._cache.tier = tier
+        object.__setattr__(self, "_tier", tier)
+
+    @property
+    def persistent_cache(self) -> Optional[PersistentLayerCache]:
+        """The attached persistent L2 tier, or ``None``."""
+        return self._tier
 
     # -- vector engine -----------------------------------------------------
 
@@ -286,7 +266,7 @@ class CostModel:
         are identical cold or warm and the tier's effect is purely who
         supplies the miss).
         """
-        tier = self._cache.tier
+        tier = self._tier
         if tier is None:
             stats = {"l2_hits": 0, "l2_misses": 0, "l2_writes": 0}
         else:
@@ -454,7 +434,7 @@ class CostModel:
             raise ValueError("bandwidths must be positive")
         cache = self._cache
         cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
+        tier = self._tier if cache_on else None
         namespace = self._l2_namespace
         data = cache.data
         maxsize = cache.maxsize
@@ -550,6 +530,10 @@ class CostModel:
         pairs = model_statics(model)
         dims_matrix = _model_dims_matrix(model)
         engine = self.vector_engine()
+        # The engine's statics slot stands for the layer shape in every
+        # row fingerprint: this cost model owns both the L1 and the engine,
+        # and the engine's table pins each statics object for its lifetime,
+        # so a slot is never reissued to another shape.
         layer_slots = np.array(
             [engine.statics_slot(statics) for _, statics in pairs], dtype=np.int64
         )
@@ -557,21 +541,7 @@ class CostModel:
         layer_counts = tuple(layer.count for layer, _ in pairs)
         num_layers = len(pairs)
         num_designs = len(design_matrix)
-        # Statics identity in fingerprints uses the *cache's* token table
-        # (LRUCache.tokens), not the engine's slot numbering: evaluators
-        # sharing one warm cache through adopt_cache then agree on every
-        # token by construction, preserving adopt_cache's contract that the
-        # statics are part of the cache key, and the table's references pin
-        # each statics object for the cache's lifetime so a token is never
-        # reissued.
-        tokens = self._cache.tokens
-        layer_tokens = np.array(
-            [
-                tokens.setdefault(statics, len(tokens))
-                for _, statics in pairs
-            ],
-            dtype=np.int64,
-        )
+        row_slots = np.tile(layer_slots, num_designs)
 
         num_levels = design_matrix.shape[1] // GENES_PER_LEVEL
         # The last two columns carry the bandwidth float bit patterns so a
@@ -581,7 +551,7 @@ class CostModel:
         # in the LRU.
         width = 1 + GENES_PER_LEVEL * num_levels + 2
         work = np.empty((num_designs * num_layers, width), dtype=np.int64)
-        work[:, 0] = np.tile(layer_tokens, num_designs)
+        work[:, 0] = row_slots
         parent = dims_matrix[None, :, :]
         for level in range(num_levels):
             src = level * GENES_PER_LEVEL
@@ -597,7 +567,7 @@ class CostModel:
         work[:, width - 2] = np.float64(noc_bandwidth).view(np.int64)
         work[:, width - 1] = np.float64(dram_bandwidth).view(np.int64)
 
-        # Row reuse is resolved on raw row *bytes*: the statics token in
+        # Row reuse is resolved on raw row *bytes*: the statics slot in
         # column 0 keeps same-gene rows of different layer shapes apart, so
         # a row's bytes are a faithful fingerprint of its composite cache
         # key, and the cost per (member, layer) row is one bytes slice plus
@@ -611,12 +581,12 @@ class CostModel:
         step = width * 8
         cache = self._cache
         cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
+        tier = self._tier if cache_on else None
         namespace = self._l2_namespace
         maxsize = cache.maxsize
         # Per-layer SHA-1 states over (namespace, statics content blob) for
         # the persistent-tier digests: the blob replaces the process-local
-        # token column, so on-disk keys are stable across processes and
+        # slot column, so on-disk keys are stable across processes and
         # runs, and each row copies its layer's state and hashes only its
         # gene tail.
         hashers = (
@@ -672,14 +642,12 @@ class CostModel:
                     work,
                     pending_positions,
                     {
-                        token: statics
-                        for token, (_, statics) in zip(
-                            layer_tokens.tolist(), pairs
-                        )
+                        slot: statics
+                        for slot, (_, statics) in zip(layer_slots.tolist(), pairs)
                     },
                 ),
                 work[positions, 1:width - 2],
-                np.tile(layer_slots, num_designs)[positions],
+                row_slots[positions],
                 noc_bandwidth,
                 dram_bandwidth,
             )
@@ -833,21 +801,21 @@ class _WorkRowView:
     for the whole batch.
     """
 
-    __slots__ = ("_work", "_positions", "_statics_of_token")
+    __slots__ = ("_work", "_positions", "_statics_of_slot")
 
     def __init__(
-        self, work, positions, statics_of_token
+        self, work, positions, statics_of_slot
     ):
         self._work = work
         self._positions = positions
-        self._statics_of_token = statics_of_token
+        self._statics_of_slot = statics_of_slot
 
     def __len__(self) -> int:
         return len(self._positions)
 
     def __getitem__(self, index: int):
         genes = self._work[self._positions[index]].tolist()
-        # Row layout: statics token, 14 genes per level, two bandwidth
+        # Row layout: statics slot, 14 genes per level, two bandwidth
         # bit-pattern columns.
         num_levels = (len(genes) - 3) // GENES_PER_LEVEL
         key = tuple(
@@ -859,7 +827,7 @@ class _WorkRowView:
                 1, 1 + num_levels * GENES_PER_LEVEL, GENES_PER_LEVEL
             )
         )
-        return self._statics_of_token[genes[0]], key
+        return self._statics_of_slot[genes[0]], key
 
 
 def _resolve_mapping(

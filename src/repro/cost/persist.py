@@ -6,8 +6,9 @@ fingerprints that whole composite key into content-addressed row bytes
 (see :meth:`repro.cost.maestro.CostModel.evaluate_model_matrix`).  This
 module turns those fingerprints into a crash-safe on-disk store so the
 in-memory :class:`~repro.cost.cache.LRUCache` becomes an L1 over an L2
-shared by sweep jobs, concurrent processes (shards, concurrent searches)
-and successive runs: repeat queries become lookups instead of engine
+directory shared by every cost model that opens it — the frameworks of
+one sweep, concurrent processes (shards, concurrent searches) and
+successive runs: repeat queries become lookups instead of engine
 evaluations.
 
 Keying
@@ -19,13 +20,13 @@ Entries are addressed by a SHA-1 digest of three parts:
   element width and the energy coefficients — so rows priced under
   different backends or technology models can never alias;
 * a **statics blob** — the layer's canonical shape signature (operator
-  name, dimension sizes, stride).  The in-memory fingerprints embed a
-  *process-local* statics token (``LRUCache.tokens``); the digest
-  replaces it with this content form, which is what makes the key stable
-  across processes and runs; and
+  name, dimension sizes, stride).  The in-memory fingerprints embed the
+  layer's *process-local* slot in the cost model's vector-engine statics
+  table; the digest replaces it with this content form, which is what
+  makes the key stable across processes and runs; and
 * the **gene tail** — the per-level (spatial, parallel, order, tiles)
   integers plus both bandwidth float bit patterns, exactly the layout of
-  a matrix work row after its token column.
+  a matrix work row after its statics-slot column.
 
 The scalar tuple keys and the packed matrix rows canonicalize to the same
 digest, so a search warmed on one engine path serves every other.
@@ -174,8 +175,9 @@ def row_digest(namespace: bytes, blob: bytes, tail: bytes) -> bytes:
 def matrix_tail_digest(prefix_state, fingerprint: bytes) -> bytes:
     """Digest of one packed work row from its layer's :func:`row_hasher`.
 
-    The row's 8-byte token column is process-local, so it is stripped and
-    only the gene tail is hashed; ``prefix_state`` is copied, not consumed.
+    The row's 8-byte statics-slot column is process-local, so it is
+    stripped and only the gene tail is hashed; ``prefix_state`` is copied,
+    not consumed.
     """
     state = prefix_state.copy()
     state.update(fingerprint[8:])
@@ -183,7 +185,7 @@ def matrix_tail_digest(prefix_state, fingerprint: bytes) -> bytes:
 
 
 def matrix_row_digest(namespace: bytes, blob: bytes, fingerprint: bytes) -> bytes:
-    """Digest of one packed work row (token column stripped, tail kept)."""
+    """Digest of one packed work row (slot column stripped, tail kept)."""
     return matrix_tail_digest(row_hasher(namespace, blob), fingerprint)
 
 
@@ -296,9 +298,8 @@ class PersistentLayerCache:
     :meth:`flush` — which the cost models call once per evaluation pass,
     emitting the whole batch as a single ``O_APPEND`` write — and
     :meth:`close` additionally rewrites the index sidecar atomically.  A
-    closed cache transparently reopens on the next lookup, so sharing one
-    instance across sweep jobs (via ``adopt_cache``) is safe even when a
-    finished job closes its evaluator.
+    closed cache transparently reopens on the next lookup, so closing an
+    evaluator never leaves its cost model without a working tier.
 
     Instances pickle as their directory and reopen lazily on the other
     side, so an open descriptor is never copied into another process.

@@ -198,9 +198,9 @@ class ZigZagCostModel(CostModel):
     """Cost model pricing layers with the ZigZag-style engine.
 
     Only the per-layer pricer and the persistent-tier namespace differ
-    from the analytic backend; the layer-report LRU, its L2 tier, cache
-    adoption and the stats are inherited, so the evaluator and sweep
-    runner are backend-blind.  This backend has a single scalar
+    from the analytic backend; the layer-report LRU, its L2 tier and the
+    stats are inherited, so the evaluator and sweep runner are
+    backend-blind.  This backend has a single scalar
     implementation: ``"fast"`` is its only engine, and the evaluator prices
     populations with one :meth:`evaluate_model` call per design (the
     gene-matrix path is the analytic vector engine's).

@@ -552,21 +552,15 @@ class SweepRunner:
                     if status == "ok"
                 }
             )
-        # Frameworks are shared across jobs and closed as soon as the last
-        # job needing them has run, bounding memory on large sweeps.  Warm
-        # layer-report caches are shared one level wider — across
-        # objectives with the same model x platform x constraint x engine —
-        # because per-layer costs are objective-independent, so a later job
-        # starts with every layer the earlier jobs already priced.
+        # Frameworks, each owning its caches and persistent tier, are
+        # shared by the jobs of one framework key and closed as soon as the
+        # last job needing them has run, bounding memory on large sweeps.
         last_use: Dict[tuple, int] = {}
-        cache_last_use: Dict[tuple, int] = {}
         for position, spec in enumerate(jobs):
             last_use[spec.framework_key] = position
-            cache_last_use[spec.evaluator_cache_key] = position
 
         outcomes: List[Outcome] = []
         frameworks: Dict[tuple, object] = {}
-        shared_caches: Dict[tuple, object] = {}
         try:
             for position, spec in enumerate(jobs):
                 if self._interrupt is not None:
@@ -582,9 +576,7 @@ class SweepRunner:
                 elif spec.job_id in quarantined:
                     self._say(f"{prefix} skip (quarantined): {spec.job_id}")
                 else:
-                    search = self._run_job(
-                        spec, position, prefix, frameworks, shared_caches
-                    )
+                    search = self._run_job(spec, position, prefix, frameworks)
                     if search is not None:
                         completed[spec.job_id] = search
                         outcomes.append((spec, search))
@@ -594,8 +586,6 @@ class SweepRunner:
                     framework = frameworks.pop(spec.framework_key, None)
                     if framework is not None:
                         framework.close()
-                if cache_last_use[spec.evaluator_cache_key] == position:
-                    shared_caches.pop(spec.evaluator_cache_key, None)
         finally:
             # Close every framework even when one close raises, so the
             # exception path flushes and closes the other frameworks'
@@ -615,7 +605,6 @@ class SweepRunner:
         position: int,
         prefix: str,
         frameworks: Dict[tuple, object],
-        shared_caches: Dict[tuple, object],
     ) -> Optional[AnyResult]:
         """Run one job with retries; None means the job was quarantined.
 
@@ -632,7 +621,7 @@ class SweepRunner:
         for attempt in range(1, attempts + 1):
             start = time.perf_counter()
             try:
-                framework = self._framework_for(spec, frameworks, shared_caches)
+                framework = self._framework_for(spec, frameworks)
                 search, extra, cache_line = self._supervised_search(
                     spec, framework, position, attempt
                 )
@@ -792,18 +781,12 @@ class SweepRunner:
             raise box["error"]
         return box["result"]
 
-    def _framework_for(
-        self,
-        spec: JobSpec,
-        frameworks: Dict[tuple, object],
-        shared_caches: Dict[tuple, object],
-    ):
+    def _framework_for(self, spec: JobSpec, frameworks: Dict[tuple, object]):
         """Fetch (or build) the shared framework for a spec."""
         framework = frameworks.get(spec.framework_key)
         if framework is None:
             framework = build_framework(spec, self.settings)
             frameworks[spec.framework_key] = framework
-            self._share_layer_cache(spec, framework, shared_caches)
             if self.settings.fault_plan is not None:
                 framework.evaluator.fault_plan = self.settings.fault_plan
         return framework
@@ -846,22 +829,6 @@ class SweepRunner:
             return
         seed = zlib.crc32(spec.job_id.encode()) + attempt
         time.sleep(base * (1.0 + Random(seed).random()))
-
-    def _share_layer_cache(
-        self, spec: JobSpec, framework, shared_caches: Dict[tuple, object]
-    ) -> None:
-        """Hand a freshly built framework the warm cache of its cache key."""
-        if not self.settings.use_cache:
-            return
-        engine = spec.engine if spec.engine is not None else self.settings.engine
-        if engine == "reference":
-            return  # the reference path never consults the cache
-        key = spec.evaluator_cache_key
-        cache = shared_caches.get(key)
-        if cache is None:
-            shared_caches[key] = framework.evaluator.cost_model.layer_cache
-        else:
-            framework.evaluator.cost_model.adopt_cache(cache)
 
     # -- graceful shutdown ---------------------------------------------------
 

@@ -439,8 +439,8 @@ class DesignEvaluator:
 
     @property
     def persistent_cache(self):
-        """The attached persistent L2 tier, or ``None``."""
-        return self.cost_model.layer_cache.tier
+        """The cost model's persistent L2 tier, or ``None``."""
+        return self.cost_model.persistent_cache
 
     def cache_clear(self) -> None:
         """Drop all memoized evaluations and counters."""
@@ -450,11 +450,9 @@ class DesignEvaluator:
     def close(self) -> None:
         """Flush and close the persistent cache tier, if one is attached.
 
-        The close is not terminal (the next lookup reopens the store), so
-        closing one evaluator never strands a tier shared with other jobs
-        through ``adopt_cache``.
+        The close is not terminal: the next lookup reopens the store.
         """
-        tier = self.cost_model.layer_cache.tier
+        tier = self.cost_model.persistent_cache
         if tier is not None:
             tier.close()
 

@@ -17,7 +17,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cost.cache import LRUCache
 from repro.cost.maestro import CostModel
 from repro.cost.persist import (
     FORMAT_NAME,
@@ -421,7 +420,7 @@ class TestDigestScheme:
             for row in matrix
         ]
         assert writer.vector_stats["l2_writes"] > 0
-        writer.layer_cache.tier.close()
+        writer.persistent_cache.close()
 
         reader = CostModel()
         reader.attach_persistent_cache(PersistentLayerCache(tmp_path))
@@ -462,7 +461,8 @@ class TestCostModelTiering:
             model.attach_persistent_cache(PersistentLayerCache(tmp_path))
             model.evaluate_layer(conv_layer, simple_mapping, NOC, DRAM)
             model.evaluate_layer(conv_layer, simple_mapping, NOC, DRAM)
-            runs.append((model.layer_cache.hits, model.layer_cache.misses))
+            stats = model.cache_stats
+            runs.append((stats.hits, stats.misses))
         assert runs[0] == runs[1] == (1, 1)
 
     def test_matrix_path_l1_counters_match_cold_and_warm(
@@ -481,8 +481,9 @@ class TestCostModelTiering:
             cost_model.attach_persistent_cache(PersistentLayerCache(tmp_path))
             for batch in ([a, b], [c, a]):
                 cost_model.evaluate_model_matrix(model, np.array(batch), NOC, DRAM)
-            runs.append((cost_model.layer_cache.hits, cost_model.layer_cache.misses))
-            cost_model.layer_cache.tier.close()
+            stats = cost_model.cache_stats
+            runs.append((stats.hits, stats.misses))
+            cost_model.persistent_cache.close()
         assert runs[0] == runs[1] == (1, 3)
 
     def test_disabled_l1_keeps_tier_inactive(self, conv_layer, simple_mapping, tmp_path):
@@ -491,15 +492,6 @@ class TestCostModelTiering:
         model.evaluate_layer(conv_layer, simple_mapping, NOC, DRAM)
         stats = model.vector_stats
         assert stats["l2_hits"] == stats["l2_misses"] == stats["l2_writes"] == 0
-
-    def test_adopt_cache_carries_the_tier(self, tmp_path):
-        donor = CostModel()
-        tier = PersistentLayerCache(tmp_path)
-        donor.attach_persistent_cache(tier)
-        adopter = CostModel()
-        adopter.adopt_cache(LRUCache(64))
-        donor.adopt_cache(adopter.layer_cache)
-        assert donor.layer_cache.tier is tier
 
 
 class TestFrameworkWarmRerun:

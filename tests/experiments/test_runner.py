@@ -430,7 +430,6 @@ class TestEngineSelection:
             sampling_budget=30, engine="vector",
         )
         assert fast.framework_key != vector.framework_key
-        assert fast.evaluator_cache_key != vector.evaluator_cache_key
 
     @pytest.mark.parametrize("engine", ["vector", "fast", "reference"])
     def test_each_engine_runs_a_smoke_search_end_to_end(self, engine):
@@ -507,7 +506,6 @@ class TestBackendSelection:
         )
         assert analytic.job_id != zigzag.job_id
         assert analytic.framework_key != zigzag.framework_key
-        assert analytic.evaluator_cache_key != zigzag.evaluator_cache_key
 
     def test_runner_pins_non_default_settings_backend_into_job_ids(self):
         spec = JobSpec(
@@ -580,23 +578,21 @@ class TestBackendSelection:
 
 
 class TestCacheReuseAcrossJobs:
-    def test_layer_cache_is_shared_across_objectives(self, tmp_path):
+    def test_each_objective_prices_layers_in_its_own_cache(self, tmp_path):
         # Same model/platform/seed with different objectives evaluates the
-        # same genomes, so the second job's layer lookups are all warm.
+        # same genomes; each job's framework owns its layer cache, so both
+        # searches count the same cold lookups.
         jobs = [
             JobSpec(model="ncf", platform="edge", optimizer="random",
                     sampling_budget=50, objective="latency"),
             JobSpec(model="ncf", platform="edge", optimizer="random",
                     sampling_budget=50, objective="energy"),
         ]
-        store = ResultStore(tmp_path / "shared.jsonl")
-        runner = SweepRunner(jobs, settings=TINY, store=store)
-        runner.run()
-        records = store.records()
-        assert [record["cache"]["layer"]["hits"] for record in records][0] == 0
-        second = records[1]["cache"]["layer"]
-        assert second["hits"] > 0
-        assert second["hit_rate"] == 1.0
+        store = ResultStore(tmp_path / "owned.jsonl")
+        SweepRunner(jobs, settings=TINY, store=store).run()
+        first, second = (record["cache"]["layer"] for record in store.records())
+        assert first["misses"] > 0
+        assert second == first
 
     def test_cache_statistics_are_recorded_per_search(self, tmp_path):
         spec = JobSpec(
@@ -707,7 +703,7 @@ class TestCacheReuseAcrossJobs:
         # And stays out of job identities: the spec grid is cache-blind.
         assert parser.parse_args([]).cache_dir is None
 
-    def test_reference_jobs_do_not_join_cache_sharing(self):
+    def test_reference_jobs_of_two_objectives_run(self):
         jobs = [
             JobSpec(model="ncf", platform="edge", optimizer="random",
                     sampling_budget=30, engine="reference", objective="latency"),
@@ -715,4 +711,4 @@ class TestCacheReuseAcrossJobs:
                     sampling_budget=30, engine="reference", objective="energy"),
         ]
         outcomes = SweepRunner(jobs, settings=TINY).run()
-        assert len(outcomes) == 2  # runs cleanly, nothing shared
+        assert len(outcomes) == 2

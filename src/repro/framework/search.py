@@ -3,8 +3,8 @@
 The paper's Optimization Block exposes one knob to all algorithms: the
 sampling budget.  :class:`SearchTracker` enforces that budget, counts
 evaluations, records the best design point found so far and offers both the
-genome view and the flat-vector view of the encoding, so any algorithm can
-be plugged in without touching the framework.  Population-based algorithms
+gene-matrix view and the flat-vector view of the encoding, so any algorithm
+can be plugged in without touching the framework.  Population-based algorithms
 use the batched views (:meth:`SearchTracker.evaluate_matrix`,
 :meth:`SearchTracker.evaluate_matrix_results` and
 :meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cost.cache import CacheStats
-from repro.encoding.genome import Genome, GenomeSpace
+from repro.encoding.genome import GenomeSpace
 from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
 from repro.encoding.repair import repaired_copy
 from repro.encoding.vector_codec import VectorCodec
@@ -102,16 +102,13 @@ class SearchTracker:
 
     # -- evaluation views --------------------------------------------------
 
-    def evaluate_genome(self, genome: Genome) -> float:
-        """Evaluate an encoded individual; returns its fitness (higher is better)."""
-        self._charge()
-        repaired = repaired_copy(genome, self.space)
-        result = self.evaluator.evaluate_genome(repaired)
-        self._record(result)
-        return result.fitness
-
     def evaluate_vector(self, vector: np.ndarray) -> float:
-        """Evaluate a flat ``[0, 1]^n`` vector; returns its fitness."""
+        """Evaluate a flat ``[0, 1]^n`` vector; returns its fitness.
+
+        The one single-candidate view (higher fitness is better), for
+        optimizers whose next candidate depends on the last fitness;
+        evaluating past the budget raises :class:`BudgetExhausted`.
+        """
         self._charge()
         genome = self.codec.decode(vector)
         repaired = repaired_copy(genome, self.space)
@@ -125,8 +122,8 @@ class SearchTracker:
         Only as many rows as the remaining budget allows are evaluated (in
         order), so the returned list may be shorter than the input —
         callers should stop when that happens.  Fitnesses are bit-identical
-        to evaluating the same genomes one by one with
-        :meth:`evaluate_genome`.  Rows take the population data path: one
+        to evaluating the same genomes one row per call.  Rows take the
+        population data path: one
         vectorized repair pass, the evaluator's fingerprint-keyed design
         reuse, then the packed vector engine (the scalar engines price the
         rows as genomes).

@@ -52,8 +52,8 @@ class Optimizer(abc.ABC):
     An optimizer spends the tracker's sampling budget through its batched
     views (``tracker.evaluate_matrix``, ``evaluate_matrix_results`` or
     ``evaluate_vector_batch``, which return fewer results than asked for
-    once the budget runs out) or one candidate at a time
-    (``tracker.evaluate_genome`` / ``evaluate_vector``); the tracker
+    once the budget runs out) or one flat vector at a time
+    (``tracker.evaluate_vector``); the tracker
     records the best design point, so ``run`` does not return anything.
     Implementations should stop when ``tracker.exhausted`` becomes true;
     evaluating past the budget raises

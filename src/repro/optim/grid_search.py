@@ -3,7 +3,8 @@
 This reproduces the paper's "Grid-S HW + {dla, shi, eye}-like" scheme: the
 mapping is a manually designed dataflow template, and the hardware (PE count
 and array aspect ratio; buffers follow from the mapping's requirement) is
-swept on a grid under the platform's area budget.
+swept on a grid under the platform's area budget.  The whole grid is one
+population: its template genomes are priced in a single gene-matrix call.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.encoding.genome import Genome
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.search import SearchTracker
 from repro.mapping.dataflows import get_dataflow
 from repro.optim.base import Optimizer
@@ -32,10 +34,12 @@ class HardwareGridSearch(Optimizer):
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
         space = tracker.space
         grid = self._build_grid(space.max_pes, tracker.remaining)
-        for pe_array in grid:
-            if tracker.exhausted:
-                return
-            tracker.evaluate_genome(self._template_genome(space, pe_array))
+        if grid:
+            tracker.evaluate_matrix(
+                GenomeMatrix.from_genomes(
+                    [self._template_genome(space, pe_array) for pe_array in grid]
+                )
+            )
 
     # -- grid construction ---------------------------------------------------
 

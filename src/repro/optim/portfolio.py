@@ -52,10 +52,6 @@ class _BudgetSlice:
     def remaining(self) -> int:
         return max(0, min(self._allowed - self._used, self._tracker.remaining))
 
-    def evaluate_genome(self, genome) -> float:
-        self._used += 1
-        return self._tracker.evaluate_genome(genome)
-
     def evaluate_vector(self, vector) -> float:
         self._used += 1
         return self._tracker.evaluate_vector(vector)

@@ -2,8 +2,8 @@
 
 ``repro experiments --suite all --smoke --quiet --platform both`` runs
 every figure harness on ncf at a tiny budget, and with it every way a
-design gets priced and scored: grid search prices template mappings one at
-a time through ``evaluate_mapping`` and the scalar engine, the Fig. 6
+design gets priced and scored: grid search prices its whole grid of
+template genomes in one call on the gene-matrix path, the Fig. 6
 baselines score mappings on fixed hardware, the buffer ablation scores
 with ``fill`` allocation, and DiGamma runs the gene-matrix path.  Its
 output is deterministic apart from the wall time and rate on the Pareto

@@ -96,7 +96,10 @@ class TestBatchedVsSequential:
         tracker_loop = make()
         _, genomes = _seeded_genomes(tracker_batch.evaluator, 25, seed=3)
         fits_batch = tracker_batch.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
-        fits_loop = [tracker_loop.evaluate_genome(g) for g in genomes]
+        fits_loop = [
+            tracker_loop.evaluate_matrix(GenomeMatrix.from_genomes([genome]))[0]
+            for genome in genomes
+        ]
         assert fits_batch == fits_loop
         assert tracker_batch.best.fitness == tracker_loop.best.fitness
         assert tracker_batch.best.latency == tracker_loop.best.latency

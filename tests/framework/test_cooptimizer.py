@@ -38,7 +38,7 @@ class TestSearch:
 
             def run(self, tracker: SearchTracker, rng) -> None:
                 while True:
-                    tracker.evaluate_genome(tracker.space.random_genome(rng))
+                    tracker.evaluate_vector(tracker.codec.random_vector(rng))
 
         framework = CoOptimizationFramework(tiny_model, EDGE)
         result = framework.search(GreedyForever(), sampling_budget=25, seed=0)

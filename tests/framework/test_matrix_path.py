@@ -273,7 +273,10 @@ class TestTrackerMatrixViews:
         fits_matrix = matrix_tracker.evaluate_matrix(
             GenomeMatrix.from_genomes(genomes)
         )
-        fits_genomes = [genome_tracker.evaluate_genome(g) for g in genomes]
+        fits_genomes = [
+            genome_tracker.evaluate_matrix(GenomeMatrix.from_genomes([genome]))[0]
+            for genome in genomes
+        ]
         assert fits_matrix == fits_genomes
         assert matrix_tracker.best.fitness == genome_tracker.best.fitness
         assert matrix_tracker.history == genome_tracker.history

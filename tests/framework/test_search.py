@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.platform import EDGE
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.evaluator import DesignEvaluator
 from repro.framework.search import BudgetExhausted, SearchResult, SearchTracker
 
@@ -22,16 +23,18 @@ class TestBudget:
         assert tracker.best is None
 
     def test_budget_decrements(self, tracker, rng):
-        tracker.evaluate_genome(tracker.space.random_genome(rng))
+        tracker.evaluate_matrix(
+            GenomeMatrix.from_genomes([tracker.space.random_genome(rng)])
+        )
         assert tracker.evaluations == 1
         assert tracker.remaining == 9
 
     def test_budget_exhaustion_raises(self, tracker, rng):
         for _ in range(10):
-            tracker.evaluate_genome(tracker.space.random_genome(rng))
+            tracker.evaluate_vector(tracker.codec.random_vector(rng))
         assert tracker.exhausted
         with pytest.raises(BudgetExhausted):
-            tracker.evaluate_genome(tracker.space.random_genome(rng))
+            tracker.evaluate_vector(tracker.codec.random_vector(rng))
         # The failed call must not be charged.
         assert tracker.evaluations == 10
 
@@ -49,14 +52,15 @@ class TestBestTracking:
     def test_best_improves_monotonically(self, tracker, rng):
         best_fitness = -np.inf
         for _ in range(10):
-            tracker.evaluate_genome(tracker.space.random_genome(rng))
+            tracker.evaluate_vector(tracker.codec.random_vector(rng))
             assert tracker.best is not None
             assert tracker.best.fitness >= best_fitness
             best_fitness = tracker.best.fitness
 
     def test_history_records_improvements(self, tracker, rng):
-        for _ in range(10):
-            tracker.evaluate_genome(tracker.space.random_genome(rng))
+        tracker.evaluate_matrix(
+            GenomeMatrix.from_genomes(tracker.space.random_population(10, rng))
+        )
         assert tracker.history
         indices = [index for index, _ in tracker.history]
         fitnesses = [fitness for _, fitness in tracker.history]
@@ -68,8 +72,9 @@ class TestBestTracking:
         genome = tracker.space.random_genome(rng)
         genome.levels[0].tiles["K"] = 10**9
         genome.levels[0].spatial_size = 10**9
-        fitness = tracker.evaluate_genome(genome)
+        (fitness,) = tracker.evaluate_matrix(GenomeMatrix.from_genomes([genome]))
         assert np.isfinite(fitness)
+        assert tracker.best.design.hardware.num_pes <= tracker.space.max_pes
 
 
 class TestSearchResult:
@@ -104,8 +109,9 @@ class TestSearchResult:
             assert "0 evals/s" in result.summary()
 
     def test_valid_best_summary(self, tracker, rng):
-        for _ in range(10):
-            tracker.evaluate_genome(tracker.space.random_genome(rng))
+        tracker.evaluate_matrix(
+            GenomeMatrix.from_genomes(tracker.space.random_population(10, rng))
+        )
         result = SearchResult(
             optimizer_name="Random",
             best=tracker.best,

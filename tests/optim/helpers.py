@@ -3,7 +3,7 @@
 ``QuadraticTracker`` mimics the :class:`SearchTracker` interface with a
 cheap analytic fitness (a negated sphere function), so the black-box
 optimizers can be unit-tested for convergence without the full framework.
-It offers the single-candidate views and the batched ``evaluate_matrix``
+It offers the single-vector view and the batched ``evaluate_matrix``
 and ``evaluate_vector_batch`` views the population optimizers call.
 """
 
@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from repro.encoding.genome import Genome, GenomeSpace
+from repro.encoding.genome import GenomeSpace
 from repro.encoding.vector_codec import VectorCodec
 from repro.framework.search import BudgetExhausted
 
@@ -30,7 +30,7 @@ def make_space(max_pes: int = 256) -> GenomeSpace:
 class QuadraticTracker:
     """Tracker stub whose fitness is ``-||x - target||^2``.
 
-    Genome evaluations are scored through the codec's (approximate) encoding
+    Gene-matrix rows are scored through the codec's (approximate) encoding
     so both evaluation views share one optimum.
     """
 
@@ -63,11 +63,6 @@ class QuadraticTracker:
         if self.exhausted:
             raise BudgetExhausted("budget exhausted")
         return self._score(np.clip(np.asarray(vector, dtype=float), 0.0, 1.0))
-
-    def evaluate_genome(self, genome: Genome) -> float:
-        if self.exhausted:
-            raise BudgetExhausted("budget exhausted")
-        return self._score(self.codec.encode(genome))
 
     def evaluate_matrix(self, matrix) -> List[float]:
         """Score a gene matrix through the codec, truncated to the budget."""

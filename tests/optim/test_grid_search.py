@@ -1,11 +1,12 @@
 """Tests for the HW-opt grid-search baseline."""
 
+import numpy as np
 import pytest
 
 from repro.arch.platform import EDGE
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.optim.grid_search import HardwareGridSearch
-from tests.optim.helpers import make_space
+from tests.optim.helpers import BatchSpyTracker, make_space
 
 
 class TestGridConstruction:
@@ -45,6 +46,21 @@ class TestTemplateGenome:
     def test_unknown_dataflow_rejected(self):
         with pytest.raises(KeyError):
             HardwareGridSearch("tpu")
+
+
+class TestBatchedGrid:
+    def test_whole_grid_is_priced_in_one_matrix_call(self):
+        tracker = BatchSpyTracker(sampling_budget=500)
+        HardwareGridSearch("dla").run(tracker, np.random.default_rng(0))
+        grid = HardwareGridSearch._build_grid(tracker.space.max_pes, 500)
+        assert tracker.batch_calls == 1
+        assert tracker.batched_evaluations == tracker.evaluations == len(grid)
+
+    def test_spent_budget_prices_nothing(self):
+        tracker = BatchSpyTracker(sampling_budget=3)
+        tracker.evaluations = 3
+        HardwareGridSearch("dla").run(tracker, np.random.default_rng(0))
+        assert tracker.batch_calls == 0
 
 
 class TestEndToEnd:

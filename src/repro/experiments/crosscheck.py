@@ -39,6 +39,7 @@ term.  The gates encode exactly that relationship:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -99,10 +100,16 @@ def run_crosscheck(
     """Price ``designs`` random designs on both backends and gate the deltas.
 
     Returns the process exit code: 0 on agreement, 1 with one line per
-    violated gate otherwise.
+    violated gate otherwise.  A non-finite gate is rejected: no comparison
+    with nan fails, so it would switch its gate off.
     """
     if designs < 2:
         raise ValueError(f"designs must be >= 2, got {designs}")
+    if not (math.isfinite(tolerance) and math.isfinite(min_rank_corr)):
+        raise ValueError(
+            f"gates must be finite, got tolerance={tolerance}, "
+            f"min_rank_corr={min_rank_corr}"
+        )
     if out is None:
         out = sys.stdout
     model = get_model(model_name)
@@ -236,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--tolerance",
-        type=float,
+        type=bounded(float, 0),
         default=DEFAULT_TOLERANCE,
         help="gate on the median relative latency delta "
         f"(default: {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
         "--min-rank-corr",
-        type=float,
+        type=bounded(float, -1),
         default=DEFAULT_MIN_RANK_CORR,
         help="gate on the latency rank correlation "
         f"(default: {DEFAULT_MIN_RANK_CORR})",

@@ -128,13 +128,18 @@ class ExperimentSettings:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_backoff < 0:
+        # nan passes every comparison test, and inf later sleeps or waits
+        # forever, so both knobs must be finite as well as in range.
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
             raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
             )
-        if self.job_timeout is not None and self.job_timeout <= 0:
+        if self.job_timeout is not None and not (
+            math.isfinite(self.job_timeout) and self.job_timeout > 0
+        ):
             raise ValueError(
-                f"job_timeout must be > 0 when given, got {self.job_timeout}"
+                "job_timeout must be finite and > 0 when given, "
+                f"got {self.job_timeout}"
             )
         if self.checkpoint_every < 1:
             raise ValueError(

@@ -47,6 +47,19 @@ class TestRunCrosscheck:
         with pytest.raises(ValueError, match="designs must be >= 2"):
             run_crosscheck(designs=1)
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"min_rank_corr": float("nan")},
+            {"min_rank_corr": float("-inf")},
+        ],
+    )
+    def test_non_finite_gate_rejected(self, gate):
+        with pytest.raises(ValueError, match="gates must be finite"):
+            run_crosscheck(model_name="ncf", designs=20, **gate)
+
 
 class TestCli:
     def test_main_runs_the_gate(self, capsys):

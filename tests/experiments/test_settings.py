@@ -39,6 +39,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             ExperimentSettings(durability="eventually")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("knob", ["job_timeout", "retry_backoff"])
+    def test_non_finite_reliability_knobs_are_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            ExperimentSettings(**{knob: value})
+
     def test_reliability_knobs_default_to_production_safety(self):
         settings = ExperimentSettings()
         assert settings.retries == 0

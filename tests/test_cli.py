@@ -173,6 +173,12 @@ class TestParser:
             (["evaluate", "--pe-cols", "-1"], "must be >= 1"),
             (["crosscheck", "--designs", "1"], "must be >= 2"),
             (["crosscheck", "--num-levels", "0"], "must be >= 1"),
+            (["crosscheck", "--tolerance", "nan"], "must be >= 0"),
+            (["crosscheck", "--tolerance", "inf"], "must be finite"),
+            (["crosscheck", "--tolerance", "-1"], "must be >= 0"),
+            (["crosscheck", "--min-rank-corr", "nan"], "must be >= -1"),
+            (["crosscheck", "--min-rank-corr", "inf"], "must be finite"),
+            (["crosscheck", "--min-rank-corr=-inf"], "must be >= -1"),
             (["search", "--budget", "many"], "invalid int value"),
             (["experiments", "--smoke", "--job-timeout", "soon"], "invalid float value"),
         ],

@@ -638,14 +638,7 @@ class CostModel:
         if pending_positions:
             positions = np.array(pending_positions, dtype=np.int64)
             values = engine.evaluate_packed(
-                _WorkRowView(
-                    work,
-                    pending_positions,
-                    {
-                        slot: statics
-                        for slot, (_, statics) in zip(layer_slots.tolist(), pairs)
-                    },
-                ),
+                _WorkRowView(work, pending_positions, pairs),
                 work[positions, 1:width - 2],
                 row_slots[positions],
                 noc_bandwidth,
@@ -801,22 +794,22 @@ class _WorkRowView:
     for the whole batch.
     """
 
-    __slots__ = ("_work", "_positions", "_statics_of_slot")
+    __slots__ = ("_work", "_positions", "_pairs")
 
-    def __init__(
-        self, work, positions, statics_of_slot
-    ):
+    def __init__(self, work, positions, pairs):
         self._work = work
         self._positions = positions
-        self._statics_of_slot = statics_of_slot
+        self._pairs = pairs
 
     def __len__(self) -> int:
         return len(self._positions)
 
     def __getitem__(self, index: int):
-        genes = self._work[self._positions[index]].tolist()
+        position = self._positions[index]
+        genes = self._work[position].tolist()
         # Row layout: statics slot, 14 genes per level, two bandwidth
-        # bit-pattern columns.
+        # bit-pattern columns; work rows run layer-fastest, so the row's
+        # layer is its position modulo the layer count.
         num_levels = (len(genes) - 3) // GENES_PER_LEVEL
         key = tuple(
             (
@@ -827,7 +820,7 @@ class _WorkRowView:
                 1, 1 + num_levels * GENES_PER_LEVEL, GENES_PER_LEVEL
             )
         )
-        return self._statics_of_slot[genes[0]], key
+        return self._pairs[position % len(self._pairs)][1], key
 
 
 def _resolve_mapping(

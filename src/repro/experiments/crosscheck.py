@@ -100,8 +100,8 @@ def run_crosscheck(
     """Price ``designs`` random designs on both backends and gate the deltas.
 
     Returns the process exit code: 0 on agreement, 1 with one line per
-    violated gate otherwise.  A non-finite gate is rejected: no comparison
-    with nan fails, so it would switch its gate off.
+    violated gate otherwise.  A non-finite gate is rejected: every
+    comparison with nan is false, so a nan gate could never fail.
     """
     if designs < 2:
         raise ValueError(f"designs must be >= 2, got {designs}")

@@ -128,11 +128,12 @@ class ExperimentSettings:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        # nan passes every comparison test, and inf later sleeps or waits
-        # forever, so both knobs must be finite as well as in range.
+        # A range check alone lets nan through (every comparison with it is
+        # false), and inf overflows the back-off or the watchdog deadline.
         if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
             raise ValueError(
-                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
+                "retry_backoff must be finite and >= 0, "
+                f"got {self.retry_backoff}"
             )
         if self.job_timeout is not None and not (
             math.isfinite(self.job_timeout) and self.job_timeout > 0

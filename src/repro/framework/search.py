@@ -4,8 +4,8 @@ The paper's Optimization Block exposes one knob to all algorithms: the
 sampling budget.  :class:`SearchTracker` enforces that budget, counts
 evaluations, records the best design point found so far and offers both the
 gene-matrix view and the flat-vector view of the encoding, so any algorithm
-can be plugged in without touching the framework.  Population-based algorithms
-use the batched views (:meth:`SearchTracker.evaluate_matrix`,
+can be plugged in without touching the framework.  Population-based
+algorithms use the batched views (:meth:`SearchTracker.evaluate_matrix`,
 :meth:`SearchTracker.evaluate_matrix_results` and
 :meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
 generation in one evaluator call on the one gene-matrix pipeline, under
@@ -123,10 +123,9 @@ class SearchTracker:
         order), so the returned list may be shorter than the input —
         callers should stop when that happens.  Fitnesses are bit-identical
         to evaluating the same genomes one row per call.  Rows take the
-        population data path: one
-        vectorized repair pass, the evaluator's fingerprint-keyed design
-        reuse, then the packed vector engine (the scalar engines price the
-        rows as genomes).
+        population data path: one vectorized repair pass, the evaluator's
+        fingerprint-keyed design reuse, then the packed vector engine (the
+        scalar engines price the rows as genomes).
         """
         return [result.fitness for result in self.evaluate_matrix_results(matrix)]
 

@@ -142,7 +142,7 @@ def bench_three_level(budget: int, reps: int, seed: int = 0) -> dict:
     search (the old fallback's data path) and the uncached reference
     engine (the seed scalar implementation the "20x" is measured
     against), and asserts the depth actually rides the vector path (rows
-    vectorized, zero depth fallbacks) with a bit-identical outcome
+    vectorized, none falling back) with a bit-identical outcome
     across all three engines.
     """
     model = get_model("resnet18")
@@ -170,7 +170,7 @@ def bench_three_level(budget: int, reps: int, seed: int = 0) -> dict:
             if name == "three_level_cached":
                 stats = framework.evaluator.cost_model.vector_stats
                 assert stats["rows_vectorized"] > 0, stats
-                assert stats["fallback_depth"] == 0, stats
+                assert stats["rows_fallback"] == 0, stats
     throughput = {
         name: round(max(values), 1) for name, values in samples.items()
     }

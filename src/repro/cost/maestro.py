@@ -217,7 +217,12 @@ class CostModel:
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the per-layer report cache."""
+        """Hit/miss counters of the per-layer report cache.
+
+        Gene-matrix calls count too: a row repeated within one call is a
+        hit and each unique row a miss, though their rows never enter
+        the LRU.
+        """
         return self._cache.stats()
 
     def cache_clear(self) -> None:
@@ -225,11 +230,12 @@ class CostModel:
         self._cache.clear()
 
     def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
-        """Back the layer-report LRU with a persistent L2 tier.
+        """Back the layer-report caches with a persistent L2 tier.
 
-        Lookups that miss the in-memory cache then probe the on-disk
-        store before falling back to the engine, and freshly priced rows
-        are written back — all inside the cache-enabled branches, so
+        Tuple-path lookups that miss the in-memory LRU, and each unique
+        row of a gene-matrix call, then probe the on-disk store before
+        falling back to the engine, and freshly priced rows are written
+        back — all inside the cache-enabled branches, so
         ``use_cache=False`` keeps the tier inactive too.
         """
         object.__setattr__(self, "_tier", tier)
@@ -255,15 +261,10 @@ class CostModel:
 
         ``rows_vectorized`` and ``rows_fallback`` count engine rows by how
         they were priced, with ``rows_fallback`` further broken down by
-        reason in the ``fallback_*`` counters.  Only
-        ``fallback_statics_overflow``, ``fallback_intermediate_overflow``
-        and ``fallback_small_batch`` can fire; ``fallback_depth`` and
-        ``fallback_gene_overflow`` stay 0 (every depth is priced natively
-        and gene rows are int64 by construction) and keep their keys for
-        the readers of sweep records.  The
-        ``l2_*`` counters report the persistent tier when one is attached
-        (an L2 hit also counts as an L1 miss, so the L1 hit/miss counters
-        are identical cold or warm and the tier's effect is purely who
+        reason in the ``fallback_*`` counters.  The ``l2_*`` counters
+        report the persistent tier when one is attached (an L2 hit also
+        counts as a layer-cache miss, so the layer hit/miss counters are
+        identical cold or warm and the tier's effect is purely who
         supplies the miss).
         """
         tier = self._tier
@@ -275,11 +276,9 @@ class CostModel:
         if engine is None:
             stats.update(rows_vectorized=0, rows_fallback=0)
             stats.update(
-                fallback_depth=0,
                 fallback_statics_overflow=0,
                 fallback_intermediate_overflow=0,
                 fallback_small_batch=0,
-                fallback_gene_overflow=0,
             )
         else:
             stats.update(
@@ -516,9 +515,11 @@ class CostModel:
         tiles >= 1, orders are permutations).  The per-(design, layer) work
         rows are assembled with array gathers — vectorized tile clipping
         against the model's dimension matrix, no per-member tuple
-        construction — and deduplicated by raw row bytes before anything
-        touches a Python dict.  Results are bit-identical to
-        :meth:`evaluate_model` on each row's mapping.
+        construction — and deduplicated by raw row bytes.  Each unique row
+        is served by the persistent tier or priced once by the vector
+        engine; the layer LRU, which pays off only in front of the slower
+        scalar engine, is neither probed nor filled.  Results are
+        bit-identical to :meth:`evaluate_model` on each row's mapping.
         """
         if self.engine == "reference":
             raise ValueError(
@@ -531,9 +532,8 @@ class CostModel:
         dims_matrix = _model_dims_matrix(model)
         engine = self.vector_engine()
         # The engine's statics slot stands for the layer shape in every
-        # row fingerprint: this cost model owns both the L1 and the engine,
-        # and the engine's table pins each statics object for its lifetime,
-        # so a slot is never reissued to another shape.
+        # row fingerprint; the engine's table pins each statics object for
+        # its lifetime, so a slot is never reissued to another shape.
         layer_slots = np.array(
             [engine.statics_slot(statics) for _, statics in pairs], dtype=np.int64
         )
@@ -547,8 +547,7 @@ class CostModel:
         # The last two columns carry the bandwidth float bit patterns so a
         # row's bytes fingerprint the *full* composite cache key — same
         # contract as the tuple keys, which include the statics and both
-        # bandwidths — and calls with different bandwidths can never alias
-        # in the LRU.
+        # bandwidths — and its tail is the persistent tier's key layout.
         width = 1 + GENES_PER_LEVEL * num_levels + 2
         work = np.empty((num_designs * num_layers, width), dtype=np.int64)
         work[:, 0] = row_slots
@@ -567,23 +566,17 @@ class CostModel:
         work[:, width - 2] = np.float64(noc_bandwidth).view(np.int64)
         work[:, width - 1] = np.float64(dram_bandwidth).view(np.int64)
 
-        # Row reuse is resolved on raw row *bytes*: the statics slot in
+        # Rows are deduplicated on their raw *bytes*: the statics slot in
         # column 0 keeps same-gene rows of different layer shapes apart, so
         # a row's bytes are a faithful fingerprint of its composite cache
         # key, and the cost per (member, layer) row is one bytes slice plus
         # one dict probe — composite tuple keys are never built on this
         # path (the engine's scalar fallback builds them on demand).
-        # Sharing a cache with the tuple-keyed scalar paths keys past them
-        # harmlessly (rows are pure functions of their key either way).
-        # Hit/miss totals match the sequential path (first occurrence of an
-        # unknown row is the miss, later occurrences are hits).
         raw = work.tobytes()
         step = width * 8
-        cache = self._cache
-        cache_on = cache.maxsize > 0
+        cache_on = self._cache.maxsize > 0
         tier = self._tier if cache_on else None
         namespace = self._l2_namespace
-        maxsize = cache.maxsize
         # Per-layer SHA-1 states over (namespace, statics content blob) for
         # the persistent-tier digests: the blob replaces the process-local
         # slot column, so on-disk keys are stable across processes and
@@ -594,45 +587,28 @@ class CostModel:
             if tier is not None
             else None
         )
-        data = cache.data
-        hits = 0
         entries: List = [None] * (num_designs * num_layers)
-        # Every L1-missed first occurrence, in order: its values when the
-        # persistent tier served it, else its slot in the engine's output.
-        pending: Dict[bytes, object] = {}
+        # Every unique row, in order: its values when the persistent tier
+        # served it, else its slot in the engine's output.
+        unique: Dict[bytes, object] = {}
         pending_digest: Dict[bytes, bytes] = {}
         pending_positions: List[int] = []
         for index in range(num_designs * num_layers):
             fingerprint = raw[index * step : index * step + step]
-            entry = pending.get(fingerprint)
-            if entry is not None:
-                # Sequential evaluation would have resolved the first
-                # occurrence by now, so this lookup counts as a hit.
-                if cache_on:
-                    hits += 1
-                entries[index] = entry
-                continue
-            if cache_on:
-                value = data.get(fingerprint)
-                if value is not None:
-                    hits += 1
-                    entries[index] = value
-                    continue
+            entry = unique.get(fingerprint)
+            if entry is None:
                 if tier is not None:
                     digest = matrix_tail_digest(
                         hashers[index % num_layers], fingerprint
                     )
-                    value = tier.get(digest)
-                    if value is not None:
-                        # Served from the persistent tier: still an L1
-                        # miss, inserted below like a cold run's row.
-                        pending[fingerprint] = value
-                        entries[index] = value
-                        continue
-                    pending_digest[fingerprint] = digest
-            pending[fingerprint] = len(pending_positions)
-            entries[index] = len(pending_positions)
-            pending_positions.append(index)
+                    entry = tier.get(digest)
+                    if entry is None:
+                        pending_digest[fingerprint] = digest
+                if entry is None:
+                    entry = len(pending_positions)
+                    pending_positions.append(index)
+                unique[fingerprint] = entry
+            entries[index] = entry
 
         values: List[Optional[tuple]] = []
         if pending_positions:
@@ -645,21 +621,14 @@ class CostModel:
                 dram_bandwidth,
             )
         if cache_on:
-            # Insert the misses only now, in first-occurrence order whoever
-            # priced them: evicting inside the loop could drop a row that a
-            # later row of this batch hits, and a warm run's L1 counters
-            # would then differ from its cold run's.
-            for fingerprint, entry in pending.items():
-                if type(entry) is int:
-                    entry = values[entry]
-                    if tier is not None:
-                        tier.put(pending_digest[fingerprint], entry)
-                data[fingerprint] = entry
-                if len(data) > maxsize:
-                    data.popitem(last=False)
-            cache.hits += hits
-            cache.misses += len(pending)
+            # A repeat within this call is a hit and each unique row a
+            # miss, whoever supplied it, so a warm run counts like its
+            # cold run.  The rows themselves stay out of the LRU.
+            self._cache.hits += len(entries) - len(unique)
+            self._cache.misses += len(unique)
         if tier is not None:
+            for fingerprint, digest in pending_digest.items():
+                tier.put(digest, values[unique[fingerprint]])
             tier.flush()
 
         performances: List[ModelPerformance] = []

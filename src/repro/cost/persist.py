@@ -1,15 +1,16 @@
-"""Persistent cross-run layer-report cache: the L2 tier under the LRU.
+"""Persistent cross-run layer-report cache: the L2 tier of the cost models.
 
 Layer reports are pure functions of (layer shape, clipped mapping key,
 bandwidths, cost-backend configuration), and the gene-matrix path already
 fingerprints that whole composite key into content-addressed row bytes
 (see :meth:`repro.cost.maestro.CostModel.evaluate_model_matrix`).  This
-module turns those fingerprints into a crash-safe on-disk store so the
-in-memory :class:`~repro.cost.cache.LRUCache` becomes an L1 over an L2
-directory shared by every cost model that opens it — the frameworks of
-one sweep, concurrent processes (shards, concurrent searches) and
-successive runs: repeat queries become lookups instead of engine
-evaluations.
+module turns those fingerprints into a crash-safe on-disk store shared by
+every cost model that opens it — the frameworks of one sweep, concurrent
+processes (shards, concurrent searches) and successive runs: repeat
+queries become lookups instead of engine evaluations.  The scalar tuple
+path keeps its in-memory :class:`~repro.cost.cache.LRUCache` as an L1
+over this tier; the gene-matrix path probes it once per unique row of a
+call.
 
 Keying
 ------
@@ -43,7 +44,8 @@ The 20-byte digest encodes to 28 characters; the type codes hold one
 letter per value (``d`` float64, ``q`` int64); the payload is the values
 packed little-endian in that order (a ``struct.Struct`` per type
 signature).  A 13-value layer report makes a 184-byte line, and
-integers outside int64 are not stored (such a row stays in the L1 only).
+integers outside int64 are not stored (such a row is priced again on a
+later miss).
 
 Both files are written under the rules of :mod:`repro.durable`: each
 flush is one append of whole lines, whose records take their offsets
@@ -301,8 +303,6 @@ class PersistentLayerCache:
     closed cache transparently reopens on the next lookup, so closing an
     evaluator never leaves its cost model without a working tier.
 
-    Instances pickle as their directory and reopen lazily on the other
-    side, so an open descriptor is never copied into another process.
     Concurrent processes that open the same directory (sweep shards,
     concurrent searches) read and append the same store;
     :func:`repro.durable.append` keeps concurrent appends intact at line
@@ -380,7 +380,8 @@ class PersistentLayerCache:
         A tuple of built-in floats and ints is kept as given; anything else
         (NumPy scalars, bools, lists) is coerced to one first.  A row with
         an integer outside int64 cannot be packed: it is skipped without
-        raising (not buffered, not counted), so it stays in the L1 only.
+        raising (not buffered, not counted), and is priced again on a later
+        miss.
         """
         if self._offsets is None:
             self._open()
@@ -647,14 +648,6 @@ class PersistentLayerCache:
         if self._descriptor is None:
             self._descriptor = durable.open_log(self.data_path)
         return self._descriptor
-
-    # -- pickling (by path, never by open descriptor) ----------------------
-
-    def __getstate__(self) -> dict:
-        return {"directory": str(self.directory)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["directory"])
 
     def __del__(self) -> None:
         try:

@@ -109,10 +109,7 @@ class VectorEngine:
     statics table (one row per unique layer shape seen) and fallback
     telemetry: ``rows_vectorized`` / ``rows_fallback`` totals plus the
     per-reason ``fallback_counters`` dict, which makes the scalar-fallback
-    rate *diagnosable*.  Only the ``statics_overflow``,
-    ``intermediate_overflow`` and ``small_batch`` reasons can fire;
-    ``fallback_depth`` and ``fallback_gene_overflow`` stay 0 and keep their
-    keys for the readers of sweep records.
+    rate *diagnosable*.
     """
 
     def __init__(
@@ -134,11 +131,9 @@ class VectorEngine:
         self.rows_vectorized = 0
         self.rows_fallback = 0
         self.fallback_counters = {
-            "fallback_depth": 0,
             "fallback_statics_overflow": 0,
             "fallback_intermediate_overflow": 0,
             "fallback_small_batch": 0,
-            "fallback_gene_overflow": 0,
         }
 
     # -- statics table -----------------------------------------------------

@@ -892,9 +892,7 @@ def _cache_record(
     persistent tier / the vector engine; jobs on the scalar engines keep
     their records free of all-zero noise.  ``vector`` splits the scalar
     fallbacks by reason, so a sweep record shows at a glance *why* rows
-    left the vector path (``fallback_depth`` and
-    ``fallback_gene_overflow`` never fire and always read 0; their keys
-    stay for the readers of sweep records).
+    left the vector path.
     """
     record = {
         "design": {
@@ -925,7 +923,6 @@ def _cache_record(
         record["vector"] = {
             "rows_vectorized": rows_vectorized,
             "rows_fallback": rows_fallback,
-            "fallback_depth": counters.get("fallback_depth", 0),
             "fallback_statics_overflow": counters.get(
                 "fallback_statics_overflow", 0
             ),
@@ -933,7 +930,6 @@ def _cache_record(
                 "fallback_intermediate_overflow", 0
             ),
             "fallback_small_batch": counters.get("fallback_small_batch", 0),
-            "fallback_gene_overflow": counters.get("fallback_gene_overflow", 0),
         }
     return record
 

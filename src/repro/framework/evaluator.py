@@ -160,9 +160,12 @@ class DesignEvaluator:
         the L2 all of the area budget left over after PEs and L1s, which is
         the naive alternative used by the buffer-allocation ablation.
     use_cache:
-        When True (default) memoize whole-design and per-layer evaluations
-        behind bounded LRU caches.  Results are bit-identical either way;
-        the flag exists for benchmarking and debugging (``--no-cache``).
+        When True (default) memoize whole-design evaluations, and the
+        per-layer evaluations of the scalar engines and single
+        evaluations, behind bounded LRU caches (a vector-engine
+        population prices each unique layer row once per call instead).
+        Results are bit-identical either way; the flag exists for
+        benchmarking and debugging (``--no-cache``).
     engine:
         Evaluation-engine selector.  ``"vector"`` (default) batches whole
         populations through the NumPy structure-of-arrays engine
@@ -185,13 +188,14 @@ class DesignEvaluator:
         ``engine`` selector are analytic-backend concepts.
     cache_dir:
         Optional directory of a persistent cross-run layer cache
-        (:class:`~repro.cost.persist.PersistentLayerCache`).  The
-        in-memory layer LRU becomes an L1 over this shared on-disk L2:
-        misses probe the store before the engine and freshly priced rows
-        are written back, so identical queries across sweep jobs,
-        concurrent processes and successive runs become lookups.  Results
-        are bit-identical with or without it (served rows are pure
-        functions of their content-addressed keys); ignored when
+        (:class:`~repro.cost.persist.PersistentLayerCache`).  Layer
+        lookups that the in-memory caches do not resolve (the scalar
+        path's LRU misses, each unique row of a vector-engine batch)
+        probe this shared on-disk L2 before the engine, and freshly
+        priced rows are written back, so identical queries across sweep
+        jobs, concurrent processes and successive runs become lookups.
+        Results are bit-identical with or without it (served rows are
+        pure functions of their content-addressed keys); ignored when
         ``use_cache`` is False or on the reference engine.
     """
 

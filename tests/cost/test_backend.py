@@ -157,11 +157,9 @@ class TestZigZagPlumbing:
         for key in (
             "rows_vectorized",
             "rows_fallback",
-            "fallback_depth",
             "fallback_statics_overflow",
             "fallback_intermediate_overflow",
             "fallback_small_batch",
-            "fallback_gene_overflow",
         ):
             assert stats[key] == 0
 

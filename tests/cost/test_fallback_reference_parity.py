@@ -69,7 +69,6 @@ class TestFallbacksMatchReference:
         )
         stats = batch_model.vector_stats
         assert stats["rows_vectorized"] > 0
-        assert stats["fallback_depth"] == 0
         assert stats["rows_fallback"] == 0
         for mapping, performance in zip(mappings, batch):
             _assert_layer_fields_identical(

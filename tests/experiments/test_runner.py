@@ -612,8 +612,10 @@ class TestCacheReuseAcrossJobs:
         assert resumed[0][1].evaluations == 40
 
     def test_records_from_older_stores_still_load(self, tmp_path, capsys):
-        # Older stores carry a "delta" section in each "cache" record; new
-        # records have none, and readers ignore keys they do not know.
+        # Older stores carry a "delta" section in each "cache" record and
+        # two fallback counters that never fired in its "vector" section;
+        # new records have neither, and readers ignore keys they do not
+        # know.
         spec = JobSpec(
             model="ncf", platform="edge", optimizer="digamma", sampling_budget=40
         )
@@ -621,6 +623,10 @@ class TestCacheReuseAcrossJobs:
         SweepRunner([spec], settings=TINY, store=store).run()
         record = store.records()[0]
         assert "delta" not in record["cache"]
+        vector = record["cache"]["vector"]
+        assert "fallback_depth" not in vector
+        assert "fallback_gene_overflow" not in vector
+        vector.update(fallback_depth=0, fallback_gene_overflow=0)
         record["cache"]["delta"] = {
             "generations": 2,
             "member_requests": 40,

@@ -92,13 +92,13 @@ class TestSearchThreeLevels:
     def test_three_level_search_engages_the_vector_path(self, tiny_model):
         # Depth is a parameter of the vector engine, not a fallback
         # trigger: a three-level search must price its populations on the
-        # vector path (rows actually vectorized, zero depth fallbacks).
+        # vector path (rows actually vectorized, none falling back).
         framework = CoOptimizationFramework(tiny_model, EDGE, num_levels=3)
         result = framework.search(DiGamma(), sampling_budget=250, seed=0)
         assert result.found_valid
         stats = framework.evaluator.cost_model.vector_stats
         assert stats["rows_vectorized"] > 0
-        assert stats["fallback_depth"] == 0
+        assert stats["rows_fallback"] == 0
 
     def test_three_level_search_runs_the_matrix_loop(self, tiny_model, monkeypatch):
         # The generation loop itself is depth-general: a three-level

@@ -17,7 +17,9 @@ recorded values bit for bit:
 The CMA-ES and TBPSA entries were recorded from their
 one-candidate-per-call generation loops, at budgets that end in the middle
 of a generation, and the ``grid-dla`` entries from the grid search that
-priced one template genome per call.
+priced one template genome per call.  The (1+1)-ES, DE, PSO and portfolio
+entries were recorded while (1+1)-ES still priced each candidate through
+the tracker's single-vector view.
 
 Never re-record the file to make a test pass.  A change that alters a
 trajectory or an operator's draws on purpose re-records it in its own,
@@ -41,11 +43,15 @@ from repro.encoding.genome_matrix import genome_to_genes
 from repro.experiments.settings import make_fixed_hardware
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.optim.cma import CMAES
+from repro.optim.de import DifferentialEvolution
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
 from repro.optim.gamma import GammaMapper
 from repro.optim.grid_search import HardwareGridSearch
 from repro.optim.nsga2 import NSGA2
+from repro.optim.one_plus_one import OnePlusOneES
+from repro.optim.portfolio import PassivePortfolio
+from repro.optim.pso import ParticleSwarm
 from repro.optim.random_search import RandomSearch
 from repro.optim.std_ga import StandardGA
 from repro.optim.tbpsa import TBPSA
@@ -136,12 +142,21 @@ VARIANT_SEARCHES = {
 }
 
 #: Recorded at depths 2 and 3 under the vector and fast engines.  Neither
-#: budget is a multiple of a generation (lambda = 13 at depth 2).
+#: budget is a multiple of a generation (lambda = 13 at depth 2, and 30
+#: for DE and PSO) or of the portfolio's three shares.
 BASELINE_SEARCHES = {
     "cma-b250": Search(CMAES, budget=250, seed=3),
     "cma-b601": Search(CMAES, budget=601, seed=5),
     "tbpsa-b250": Search(TBPSA, budget=250, seed=3),
     "tbpsa-b601": Search(TBPSA, budget=601, seed=5),
+    "(1+1)-es-b250": Search(OnePlusOneES, budget=250, seed=3),
+    "(1+1)-es-b601": Search(OnePlusOneES, budget=601, seed=5),
+    "de-b250": Search(DifferentialEvolution, budget=250, seed=3),
+    "de-b601": Search(DifferentialEvolution, budget=601, seed=5),
+    "pso-b250": Search(ParticleSwarm, budget=250, seed=3),
+    "pso-b601": Search(ParticleSwarm, budget=601, seed=5),
+    "portfolio-b250": Search(PassivePortfolio, budget=250, seed=3),
+    "portfolio-b601": Search(PassivePortfolio, budget=601, seed=5),
 }
 
 SEARCHES = {**CORE_SEARCHES, **VARIANT_SEARCHES, **BASELINE_SEARCHES}
@@ -163,6 +178,11 @@ SEARCH_CASES = [
     for name in BASELINE_SEARCHES
     for engine in ("vector", "fast")
     for depth in (2, 3)
+] + [
+    # (1+1)-ES prices one candidate per call, the scalar engines' shape.
+    pytest.param(
+        "(1+1)-es-b250", "reference", 2, id="(1+1)-es-b250/reference/L2"
+    ),
 ]
 
 

@@ -49,7 +49,7 @@ from repro.experiments import fig6 as fig6_module
 from repro.experiments import fig7 as fig7_module
 from repro.experiments import pareto as pareto_module
 from repro.experiments import runner as runner_module
-from repro.experiments.runner import positive_int
+from repro.experiments.runner import bounded, positive_int
 from repro.cost.backend import BACKENDS
 from repro.experiments import crosscheck as crosscheck_module
 from repro.framework.cooptimizer import CoOptimizationFramework
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "multi-objective Pareto-front search — pair "
                              "with --optimizer nsga2 for a spread front")
     search.add_argument("--budget", type=positive_int, default=2000, help="sampling budget")
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--seed", type=bounded(int, 0), default=0)
     search.add_argument("--output", default=None,
                         help="optional path for the JSON result")
     search.add_argument("--engine", choices=ENGINES,

@@ -2,16 +2,18 @@
 
 The paper's contribution #2: a compact per-level gene list describing both
 HW (``pi`` spatial sizes; buffers are derived, not encoded) and mapping
-(parallel dimension, loop order, tile sizes).  Two views are provided:
+(parallel dimension, loop order, tile sizes).  Three views are provided:
 
-* :class:`~repro.encoding.genome.Genome` — the structured gene list DiGamma
-  and the GAMMA-style operators manipulate directly.
+* :class:`~repro.encoding.genome.Genome` — the structured gene list of one
+  design, used for I/O, initial populations and the scalar cost engines.
 * :class:`~repro.encoding.genome_matrix.GenomeMatrix` — a whole population
   as one int64 member x gene NumPy array, the representation the search
-  inner loops and the vector cost engine operate on.
+  inner loops, DiGamma's row operators and the vector cost engine operate
+  on.
 * :class:`~repro.encoding.vector_codec.VectorCodec` — a fixed-length
   ``[0, 1]`` real vector so that generic black-box optimizers (CMA, PSO,
-  DE, ...) can be plugged into the same framework.
+  DE, ...) can be plugged into the same framework; vectors decode
+  straight into gene-matrix rows.
 """
 
 from repro.encoding.genome import Genome, GenomeSpace, LevelGenes

@@ -168,11 +168,11 @@ def mapping_from_fingerprint(fingerprint: bytes, num_levels: int) -> Mapping:
 
 
 def repaired_matrix(matrix: GenomeMatrix, space: GenomeSpace) -> GenomeMatrix:
-    """Vectorized counterpart of :func:`repro.encoding.repair.repaired_copy`.
+    """Vectorized counterpart of :func:`repro.encoding.repair.repair_genome`.
 
     Returns a repaired copy of the whole population in a handful of array
     operations; per-member results are bit-identical to running
-    ``repaired_copy(genome, space)`` member by member (pinned by
+    ``repair_genome(genome.copy(), space)`` member by member (pinned by
     ``tests/encoding/test_genome_matrix.py``).  Only magnitudes need
     clamping: the matrix encoding cannot represent invalid dimension names
     or (under the shipped operators) non-permutation orders.
@@ -188,7 +188,7 @@ def repaired_matrix(matrix: GenomeMatrix, space: GenomeSpace) -> GenomeMatrix:
         max_pes = space.max_pes
         np.clip(spatials, 1, max_pes, out=spatials)
         # Shrink the innermost levels first until the PE product fits,
-        # mirroring repaired_copy's scalar loop with masked array updates.
+        # mirroring repair_genome's scalar loop with masked array updates.
         product = spatials.prod(axis=1)
         for index in range(num_levels - 1, -1, -1):
             over = product > max_pes

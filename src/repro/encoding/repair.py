@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.encoding.genome import Genome, GenomeSpace, LevelGenes
+from repro.encoding.genome import Genome, GenomeSpace
 from repro.workloads.dims import DIMS
-
-_DIMS_SET = frozenset(DIMS)
 
 
 def repair_genome(genome: Genome, space: GenomeSpace) -> Genome:
@@ -28,67 +26,6 @@ def repair_genome(genome: Genome, space: GenomeSpace) -> Genome:
             value = int(level.tiles.get(dim, 1))
             level.tiles[dim] = max(1, min(bound, value))
     return genome
-
-
-def repaired_copy(genome: Genome, space: GenomeSpace) -> Genome:
-    """A repaired deep copy of ``genome``; the original is left untouched.
-
-    Equivalent to ``repair_genome(genome.copy(), space)`` — the evaluation
-    paths call that pair per individual, and building the clamped copy in
-    one pass saves the intermediate copy's allocations on the hot path.
-    """
-    source_levels = genome.levels
-    if space.hw_is_fixed:
-        spatials = [int(size) for size in space.fixed_pe_array]
-        if len(source_levels) > len(spatials):
-            # Extra levels keep their spatial genes, as in _repair_hw's zip.
-            spatials += [
-                level.spatial_size for level in source_levels[len(spatials):]
-            ]
-    else:
-        max_pes = space.max_pes
-        spatials = [
-            max(1, min(max_pes, int(level.spatial_size)))
-            for level in source_levels
-        ]
-        product = 1
-        for spatial in spatials:
-            product *= spatial
-        # Shrink the innermost levels first (mirrors _repair_hw).
-        for index in range(len(spatials) - 1, -1, -1):
-            if product <= max_pes:
-                break
-            others = product // spatials[index]
-            allowed = max(1, max_pes // max(1, others))
-            product = others * allowed
-            spatials[index] = allowed
-    bounds = space.dim_bounds
-    levels: List[LevelGenes] = []
-    for level, spatial in zip(source_levels, spatials):
-        source_order = level.order
-        if len(source_order) == len(DIMS) and set(source_order) == _DIMS_SET:
-            order = list(source_order)
-        else:
-            order = list(source_order)
-            _repair_order(order)
-        parallel = level.parallel_dim
-        if parallel not in _DIMS_SET:
-            parallel = order[0]
-        source_tiles = level.tiles
-        tiles = {}
-        for dim in DIMS:
-            bound = bounds[dim]
-            value = int(source_tiles.get(dim, 1))
-            tiles[dim] = value if 1 <= value <= bound else max(1, min(bound, value))
-        levels.append(
-            LevelGenes(
-                spatial_size=spatial,
-                parallel_dim=parallel,
-                order=order,
-                tiles=tiles,
-            )
-        )
-    return Genome(levels=levels)
 
 
 def _repair_hw(genome: Genome, space: GenomeSpace) -> None:

@@ -1,15 +1,16 @@
 """Flat real-vector view of the design-point encoding.
 
 Generic black-box optimizers (CMA-ES, PSO, differential evolution, ...) work
-on fixed-length real vectors.  :class:`VectorCodec` maps a ``[0, 1]^n``
-vector to a :class:`Genome` and back:
+on fixed-length real vectors.  :class:`VectorCodec` decodes a batch of
+``[0, 1]^n`` vectors into gene-matrix rows, and encodes a :class:`Genome`
+back into a vector:
 
 * one coordinate per level for the spatial size (log scale),
 * one coordinate per level selecting the parallel dimension,
 * six coordinates per level whose ranks give the loop order,
 * six coordinates per level for the tile sizes (log scale).
 
-Every vector decodes to a syntactically valid genome, so the black-box
+Every vector decodes to a row inside the genome space, so the black-box
 algorithms never see hard failures — only the constraint checker's
 penalties, exactly as in the paper's framework.
 """
@@ -17,11 +18,10 @@ penalties, exactly as in the paper's framework.
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
-from repro.encoding.genome import Genome, GenomeSpace, LevelGenes
+from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix
 from repro.workloads.dims import DIMS
 
@@ -30,7 +30,7 @@ _PER_LEVEL = 1 + 1 + len(DIMS) + len(DIMS)
 
 
 class VectorCodec:
-    """Bidirectional mapping between ``[0, 1]^n`` vectors and genomes."""
+    """Mapping from ``[0, 1]^n`` vectors to gene rows, and from genomes back."""
 
     def __init__(self, space: GenomeSpace):
         self.space = space
@@ -38,45 +38,21 @@ class VectorCodec:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode(self, vector: np.ndarray) -> Genome:
-        """Decode a real vector into a genome (values are clipped to [0, 1])."""
-        values = np.clip(np.asarray(vector, dtype=float).ravel(), 0.0, 1.0)
-        if values.size != self.dimension:
-            raise ValueError(
-                f"expected a vector of length {self.dimension}, got {values.size}"
-            )
-        levels: List[LevelGenes] = []
-        remaining_pes = self.space.max_pes
-        for level_index in range(self.space.num_levels):
-            chunk = values[level_index * _PER_LEVEL : (level_index + 1) * _PER_LEVEL]
-            spatial = self._decode_spatial(chunk[0], level_index, remaining_pes)
-            remaining_pes = max(1, remaining_pes // spatial)
-            parallel_dim = DIMS[min(len(DIMS) - 1, int(chunk[1] * len(DIMS)))]
-            order_keys = chunk[2 : 2 + len(DIMS)]
-            order = [DIMS[i] for i in np.argsort(order_keys, kind="stable")]
-            tile_keys = chunk[2 + len(DIMS) :]
-            tiles = {
-                dim: _scale_log(tile_keys[i], 1, self.space.dim_bounds[dim])
-                for i, dim in enumerate(DIMS)
-            }
-            levels.append(
-                LevelGenes(
-                    spatial_size=spatial,
-                    parallel_dim=parallel_dim,
-                    order=order,
-                    tiles=tiles,
-                )
-            )
-        return Genome(levels=levels)
-
     def decode_matrix(self, vectors) -> GenomeMatrix:
         """Decode a batch of vectors straight into gene-matrix rows.
 
-        Row ``i`` carries exactly the genes of ``self.decode(vectors[i])``
-        (same scalar log-scaling per gene, so the decoded values are
-        bit-identical), without constructing any :class:`Genome` — this is
-        how the flat-vector optimizers (DE, PSO, CMA) enter the population
-        data path.
+        Values are clipped to ``[0, 1]`` first, and no :class:`Genome` is
+        constructed — this is how the flat-vector optimizers ((1+1)-ES, DE,
+        PSO, CMA) enter the population data path.  Every row is inside the
+        space by construction, so :func:`repaired_matrix` returns it
+        unchanged and the tracker skips that pass:
+
+        * each level's spatial size lies in ``[1, max(1, left)]``, where
+          ``left`` is the PEs the levels above left over, so the PE product
+          never exceeds ``max_pes``; fixed hardware takes its PE array,
+          which is what repair pins;
+        * each tile lies in ``[1, bound]`` of its dimension;
+        * each order is an ``argsort``, hence a permutation.
         """
         num_levels = self.space.num_levels
         rows = np.empty((len(vectors), LEVEL_WIDTH * num_levels), dtype=np.int64)
@@ -112,7 +88,7 @@ class VectorCodec:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, genome: Genome) -> np.ndarray:
-        """Approximate inverse of :meth:`decode` (useful for seeding searches)."""
+        """Approximate inverse of :meth:`decode_matrix` (useful for seeding searches)."""
         if genome.num_levels != self.space.num_levels:
             raise ValueError(
                 f"genome has {genome.num_levels} levels, codec expects "

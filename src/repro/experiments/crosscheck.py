@@ -105,6 +105,8 @@ def run_crosscheck(
     """
     if designs < 2:
         raise ValueError(f"designs must be >= 2, got {designs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(tolerance) and math.isfinite(min_rank_corr)):
         raise ValueError(
             f"gates must be finite, got tolerance={tolerance}, "
@@ -124,10 +126,9 @@ def run_crosscheck(
     rng = np.random.default_rng(seed)
     genomes = space.random_population(designs, rng)
     matrix = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
-    sample = matrix.to_genomes()
 
     results = {
-        backend: evaluator.evaluate_population(sample)
+        backend: evaluator.evaluate_matrix(matrix)
         for backend, evaluator in evaluators.items()
     }
     values = {
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="hierarchy depth of the sampled designs (default: 2)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=bounded(int, 0), default=0)
     parser.add_argument(
         "--tolerance",
         type=bounded(float, 0),

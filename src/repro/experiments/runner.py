@@ -997,7 +997,9 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_SAMPLING_BUDGET,
         help="sampling budget per search (paper uses 40000)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--seed", type=bounded(int, 0), default=0, help="random seed"
+    )
     parser.add_argument(
         "--store",
         default=None,

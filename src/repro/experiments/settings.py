@@ -118,6 +118,8 @@ class ExperimentSettings:
     def __post_init__(self) -> None:
         if self.sampling_budget < 1:
             raise ValueError("sampling_budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"

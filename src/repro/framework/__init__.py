@@ -19,7 +19,7 @@ from repro.framework.pareto import (
     fast_non_dominated_sort,
     non_dominated_indices,
 )
-from repro.framework.search import BudgetExhausted, SearchResult, SearchTracker
+from repro.framework.search import SearchResult, SearchTracker
 
 __all__ = [
     "ConstraintChecker",
@@ -38,7 +38,6 @@ __all__ = [
     "dominates",
     "fast_non_dominated_sort",
     "non_dominated_indices",
-    "BudgetExhausted",
     "SearchResult",
     "SearchTracker",
     "hw_space_size",

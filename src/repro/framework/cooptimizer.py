@@ -28,7 +28,7 @@ from repro.framework.pareto import (
     ParetoArchive,
     ParetoResult,
 )
-from repro.framework.search import BudgetExhausted, SearchResult, SearchTracker
+from repro.framework.search import SearchResult, SearchTracker
 from repro.workloads.model import Model
 
 
@@ -165,6 +165,10 @@ class CoOptimizationFramework:
     ) -> SearchResult:
         """Run one optimization algorithm under the given sampling budget.
 
+        The optimizer prices designs through the tracker's batched views,
+        which never price past the budget, and returns once
+        ``tracker.exhausted`` is true or a batch comes back short.
+
         With ``checkpoint_dir`` set (and an optimizer that declares
         ``supports_checkpoint``), the search writes a crash-safe checkpoint
         every ``checkpoint_every`` generation boundaries under
@@ -197,10 +201,6 @@ class CoOptimizationFramework:
         start = time.perf_counter()
         try:
             optimizer.run(tracker, rng)
-        except BudgetExhausted:
-            # The optimizer kept asking after the budget ran out; that is the
-            # expected way for budget-oblivious algorithms to terminate.
-            pass
         finally:
             # SearchInterrupted (and any crash) leaves the checkpoint on
             # disk for the resume; only a *completed* search clears it.
@@ -269,8 +269,6 @@ class CoOptimizationFramework:
         start = time.perf_counter()
         try:
             optimizer.run(tracker, rng)
-        except BudgetExhausted:
-            pass
         finally:
             if session is not None and session in self.checkpoint_sessions:
                 self.checkpoint_sessions.remove(session)

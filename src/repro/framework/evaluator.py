@@ -26,7 +26,6 @@ from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.genome_matrix import (
     LEVEL_WIDTH,
     SPATIAL_COL,
-    TILE_COLS,
     GenomeMatrix,
     row_to_genome,
 )
@@ -118,8 +117,6 @@ class RowGenomeResult(EvaluationResult):
     def genome(self) -> Genome:
         cached = self.__dict__.get("_genome_object")
         if cached is None:
-            from repro.encoding.genome_matrix import LEVEL_WIDTH
-
             row = np.frombuffer(self.__dict__["_genome_row"], dtype=np.int64)
             cached = row_to_genome(row, len(row) // LEVEL_WIDTH)
             self.__dict__["_genome_object"] = cached
@@ -307,35 +304,6 @@ class DesignEvaluator:
             self._design_cache.put(key, result)
         return _with_genome(result, genome)
 
-    def evaluate_population(
-        self, genomes: Sequence[Genome]
-    ) -> List[EvaluationResult]:
-        """Score a whole population in one call, preserving input order.
-
-        Under the vector engine with the analytic backend, the genomes are
-        packed into a :class:`GenomeMatrix` and priced by
-        :meth:`evaluate_matrix`, the one population data path.  Packing
-        raises spatial and tile genes below 1 to 1, exactly as
-        :meth:`Genome.cache_key` does.  A single genome, a scalar engine or
-        another backend takes the per-genome :meth:`evaluate_genome` loop.
-        Results are bit-identical either way, because every evaluation is a
-        pure function of its genome, and each carries the caller's own
-        genome object.
-        """
-        genomes = list(genomes)
-        vector = self.engine == "vector" and self.backend == "analytic"
-        if len(genomes) < 2 or not vector:
-            return [self.evaluate_genome(genome) for genome in genomes]
-        matrix = GenomeMatrix.from_genomes(genomes)
-        levels = matrix.data.reshape(len(matrix), matrix.num_levels, LEVEL_WIDTH)
-        for genes in (levels[:, :, SPATIAL_COL], levels[:, :, TILE_COLS]):
-            np.maximum(genes, 1, out=genes)
-        results = self.evaluate_matrix(matrix)
-        return [
-            _with_genome(result, genome)
-            for result, genome in zip(results, genomes)
-        ]
-
     # -- gene-matrix population path ---------------------------------------
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[EvaluationResult]:
@@ -351,16 +319,21 @@ class DesignEvaluator:
         reuse works on raw row fingerprints, misses feed the cost model's
         packed matrix entry directly, and genomes on the returned results
         materialize lazily.
+
+        A lone design, the scalar engines and non-analytic backends take the
+        per-design :meth:`evaluate_genome` path instead, whose layer LRU
+        answers most of a sequential search's layer lookups; under the
+        analytic backend values are bit-identical, so matrix-native search
+        loops stay exact under every engine selector.  Hierarchy depth is
+        no gate: the vector path prices 1-, 2- and 3+-level matrices
+        natively.
         """
-        if len(matrix) == 0:
-            return []
-        if self.engine != "vector" or self.backend != "analytic":
-            # The scalar engines (and non-analytic backends) take the
-            # genome path; under the analytic backend values are
-            # bit-identical, so matrix-native search loops stay exact under
-            # every engine selector.  Hierarchy depth is no gate: the
-            # vector path prices 1-, 2- and 3+-level matrices natively.
-            return self.evaluate_population(matrix.to_genomes())
+        if (
+            len(matrix) < 2
+            or self.engine != "vector"
+            or self.backend != "analytic"
+        ):
+            return [self.evaluate_genome(g) for g in matrix.to_genomes()]
         return self._evaluate_matrix_vector(matrix)
 
     def _evaluate_matrix_vector(

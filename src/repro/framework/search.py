@@ -4,13 +4,14 @@ The paper's Optimization Block exposes one knob to all algorithms: the
 sampling budget.  :class:`SearchTracker` enforces that budget, counts
 evaluations, records the best design point found so far and offers both the
 gene-matrix view and the flat-vector view of the encoding, so any algorithm
-can be plugged in without touching the framework.  Population-based
-algorithms use the batched views (:meth:`SearchTracker.evaluate_matrix`,
+can be plugged in without touching the framework.  Every view is batched
+(:meth:`SearchTracker.evaluate_matrix`,
 :meth:`SearchTracker.evaluate_matrix_results` and
 :meth:`SearchTracker.evaluate_vector_batch`): each scores a whole
 generation in one evaluator call on the one gene-matrix pipeline, under
 every engine, which keeps the memoized evaluation engine hot and lets the
-vector engine price the whole generation in one NumPy pass.
+vector engine price the whole generation in one NumPy pass.  A sequential
+optimizer such as (1+1)-ES passes one-row batches.
 """
 
 from __future__ import annotations
@@ -23,23 +24,18 @@ import numpy as np
 from repro.cost.cache import CacheStats
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
-from repro.encoding.repair import repaired_copy
 from repro.encoding.vector_codec import VectorCodec
 from repro.framework.evaluator import DesignEvaluator, EvaluationResult
 from repro.framework.pareto import ParetoArchive
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised when an optimizer requests an evaluation beyond the budget."""
-
-
 class SearchInterrupted(RuntimeError):
     """Raised at a generation boundary when an interrupt was requested.
 
-    Unlike :class:`BudgetExhausted` this is *not* swallowed by the
-    framework: it propagates to the caller (the sweep runner records an
-    ``interrupted`` result), leaving the just-written checkpoint on disk
-    so a later run resumes instead of restarting.
+    The framework does not swallow it: it propagates to the caller (the
+    sweep runner records an ``interrupted`` result), leaving the
+    just-written checkpoint on disk so a later run resumes instead of
+    restarting.
     """
 
 
@@ -102,20 +98,6 @@ class SearchTracker:
 
     # -- evaluation views --------------------------------------------------
 
-    def evaluate_vector(self, vector: np.ndarray) -> float:
-        """Evaluate a flat ``[0, 1]^n`` vector; returns its fitness.
-
-        The one single-candidate view (higher fitness is better), for
-        optimizers whose next candidate depends on the last fitness;
-        evaluating past the budget raises :class:`BudgetExhausted`.
-        """
-        self._charge()
-        genome = self.codec.decode(vector)
-        repaired = repaired_copy(genome, self.space)
-        result = self.evaluator.evaluate_genome(repaired)
-        self._record(result)
-        return result.fitness
-
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         """Evaluate a gene-matrix population in one call; returns fitnesses.
 
@@ -139,32 +121,33 @@ class SearchTracker:
         semantics are those of :meth:`evaluate_matrix`.
         """
         batch = matrix.truncated(min(len(matrix), self.remaining))
-        if len(batch) == 0:
-            self.batch_calls += 1
-            return []
-        repaired = repaired_matrix(batch, self.space)
-        results = self.evaluator.evaluate_matrix(repaired)
+        return self._evaluate(repaired_matrix(batch, self.space))
+
+    def evaluate_vector_batch(self, vectors: Sequence[np.ndarray]) -> List[float]:
+        """Evaluate a batch of flat ``[0, 1]^n`` vectors; returns fitnesses.
+
+        Budget semantics match :meth:`evaluate_matrix` (truncated to the
+        remaining budget).  Vectors decode straight into gene-matrix rows —
+        one decoded gene row per vector, no intermediate ``Genome`` — and
+        ride the same population data path as :meth:`evaluate_matrix`,
+        minus its repair: decoded rows are inside the space by
+        construction (see :meth:`VectorCodec.decode_matrix`).
+        """
+        batch = list(vectors)[: self.remaining]
+        matrix = self.codec.decode_matrix(batch)
+        return [result.fitness for result in self._evaluate(matrix)]
+
+    def _evaluate(self, matrix: GenomeMatrix) -> List[EvaluationResult]:
+        """Price in-space rows that fit the budget and record the results."""
         self.batch_calls += 1
+        if len(matrix) == 0:
+            return []
+        results = self.evaluator.evaluate_matrix(matrix)
         self.batched_evaluations += len(results)
         for result in results:
             self.evaluations += 1
             self._record(result)
         return results
-
-    def evaluate_vector_batch(self, vectors: Sequence[np.ndarray]) -> List[float]:
-        """Evaluate a batch of flat vectors; returns their fitnesses.
-
-        Budget semantics match :meth:`evaluate_matrix` (truncated to the
-        remaining budget).  Vectors decode straight into gene-matrix rows —
-        one decoded gene row per vector, no intermediate ``Genome`` — and
-        ride the same population data path as :meth:`evaluate_matrix`.
-        """
-        batch = list(vectors)[: self.remaining]
-        if not batch:
-            self.batch_calls += 1
-            return []
-        matrix = self.codec.decode_matrix(batch)
-        return self.evaluate_matrix(matrix)
 
     @property
     def vector_dimension(self) -> int:
@@ -218,13 +201,6 @@ class SearchTracker:
             )
 
     # -- internals ---------------------------------------------------------
-
-    def _charge(self) -> None:
-        if self.exhausted:
-            raise BudgetExhausted(
-                f"sampling budget of {self.sampling_budget} evaluations exhausted"
-            )
-        self.evaluations += 1
 
     def _record(self, result: EvaluationResult) -> None:
         if self.best is None or result.fitness > self.best.fitness:

@@ -51,14 +51,12 @@ class Optimizer(abc.ABC):
 
     An optimizer spends the tracker's sampling budget through its batched
     views (``tracker.evaluate_matrix``, ``evaluate_matrix_results`` or
-    ``evaluate_vector_batch``, which return fewer results than asked for
-    once the budget runs out) or one flat vector at a time
-    (``tracker.evaluate_vector``); the tracker
-    records the best design point, so ``run`` does not return anything.
-    Implementations should stop when ``tracker.exhausted`` becomes true;
-    evaluating past the budget raises
-    :class:`~repro.framework.search.BudgetExhausted`, which the framework
-    treats as normal termination.
+    ``evaluate_vector_batch``; a sequential optimizer passes one-row
+    batches).  Each view truncates a batch to the remaining budget, so it
+    returns fewer results than asked for once the budget runs out, and
+    nothing at all after that.  The tracker records the best design point,
+    so ``run`` does not return anything.  Implementations stop when
+    ``tracker.exhausted`` becomes true or a batch comes back short.
     """
 
     #: Display name used in experiment tables.

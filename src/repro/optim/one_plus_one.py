@@ -13,7 +13,8 @@ class OnePlusOneES(Optimizer):
 
     A single parent is perturbed with isotropic Gaussian noise; the child
     replaces the parent when it is at least as fit.  The step size follows
-    the one-fifth success rule.
+    the one-fifth success rule.  Each candidate depends on the last
+    fitness, so every call prices a one-row batch.
     """
 
     name = "(1+1)-ES"
@@ -29,14 +30,19 @@ class OnePlusOneES(Optimizer):
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
         dimension = tracker.vector_dimension
         parent = rng.random(dimension)
-        parent_fitness = tracker.evaluate_vector(parent)
+        fitness = tracker.evaluate_vector_batch([parent])
+        if not fitness:
+            return
+        parent_fitness = fitness[0]
         sigma = self.initial_sigma
 
         while not tracker.exhausted:
             child = np.clip(parent + sigma * rng.standard_normal(dimension), 0.0, 1.0)
-            child_fitness = tracker.evaluate_vector(child)
-            if child_fitness >= parent_fitness:
-                parent, parent_fitness = child, child_fitness
+            fitness = tracker.evaluate_vector_batch([child])
+            if not fitness:
+                return
+            if fitness[0] >= parent_fitness:
+                parent, parent_fitness = child, fitness[0]
                 sigma /= self.adaptation
             else:
                 sigma *= self.adaptation ** 0.25

@@ -24,10 +24,9 @@ from repro.optim.pso import ParticleSwarm
 class _BudgetSlice:
     """View of a tracker that exposes only a slice of the remaining budget.
 
-    The batched evaluation views are forwarded so population-based members
-    (DE, PSO, GAs) keep the fast path — whole generations scored in one
-    evaluator call — instead of silently degrading to one-by-one
-    evaluation.  Batches are truncated to the slice's remaining allowance,
+    The tracker's evaluation views are forwarded, so population-based
+    members (DE, PSO, GAs) keep scoring whole generations in one evaluator
+    call.  Batches are truncated to the slice's remaining allowance,
     and the slice is charged for the number of results actually returned
     (the underlying tracker may truncate further), so a cut-short batch
     never overcharges the member.
@@ -51,10 +50,6 @@ class _BudgetSlice:
     @property
     def remaining(self) -> int:
         return max(0, min(self._allowed - self._used, self._tracker.remaining))
-
-    def evaluate_vector(self, vector) -> float:
-        self._used += 1
-        return self._tracker.evaluate_vector(vector)
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         return self._charge(

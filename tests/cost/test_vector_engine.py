@@ -22,7 +22,8 @@ from repro.arch.platform import CLOUD, EDGE
 from repro.cost.maestro import CostModel, LazyModelPerformance
 from repro.cost.vector_engine import MIN_VECTOR_ROWS, _last_set_position
 from repro.encoding.genome import GenomeSpace
-from repro.encoding.repair import repair_genome, repaired_copy
+from repro.encoding.genome_matrix import GenomeMatrix
+from repro.encoding.repair import repair_genome
 from repro.framework.evaluator import DesignEvaluator
 from repro.mapping.mapping import Mapping, mapping_from_cache_key, uniform_mapping
 from repro.workloads.layer import Layer
@@ -308,9 +309,9 @@ class TestLazyContainers:
         space = vector.genome_space()
         rng = np.random.default_rng(23)
         genomes = [
-            repaired_copy(space.random_genome(rng), space) for _ in range(6)
+            repair_genome(space.random_genome(rng), space) for _ in range(6)
         ]
-        vector_results = vector.evaluate_population(genomes)
+        vector_results = vector.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
         scalar_results = [scalar.evaluate_genome(genome) for genome in genomes]
 
         def as_dict(result):
@@ -326,36 +327,3 @@ class TestLazyContainers:
 
         for vector_result, scalar_result in zip(vector_results, scalar_results):
             assert as_dict(vector_result) == as_dict(scalar_result)
-
-
-class TestRepairedCopy:
-    def test_matches_repair_of_a_copy(self):
-        model = get_model("resnet18")
-        space = GenomeSpace.from_model(model, max_pes=4096)
-        rng = np.random.default_rng(29)
-        for _ in range(40):
-            genome = space.random_genome(rng)
-            # Corrupt some genes so repair actually has work to do.
-            genome.levels[0].spatial_size = int(rng.integers(-3, 9000))
-            genome.levels[0].tiles["K"] = int(rng.integers(-2, 9999))
-            if rng.random() < 0.5:
-                genome.levels[1].order[0] = genome.levels[1].order[1]
-            if rng.random() < 0.3:
-                genome.levels[1].parallel_dim = "bogus"
-            via_copy = repair_genome(genome.copy(), space)
-            fused = repaired_copy(genome, space)
-            assert fused.cache_key() == via_copy.cache_key()
-            for fused_level, copied_level in zip(fused.levels, via_copy.levels):
-                assert fused_level.order == copied_level.order
-                assert fused_level.tiles == copied_level.tiles
-                assert fused_level.spatial_size == copied_level.spatial_size
-                assert fused_level.parallel_dim == copied_level.parallel_dim
-
-    def test_leaves_the_original_untouched(self):
-        model = get_model("ncf")
-        space = GenomeSpace.from_model(model, max_pes=256)
-        genome = space.random_genome(np.random.default_rng(0))
-        genome.levels[0].tiles["K"] = 10**9
-        before = genome.levels[0].tiles["K"]
-        repaired_copy(genome, space)
-        assert genome.levels[0].tiles["K"] == before

@@ -1,10 +1,9 @@
 """The gene-matrix population representation.
 
 The contract: a :class:`GenomeMatrix` row carries exactly the genes of its
-:class:`Genome`, vectorized repair is bit-identical to ``repaired_copy``
+:class:`Genome`, vectorized repair is bit-identical to ``repair_genome``
 member by member, a repaired row's cache key equals the genome's, and the
-flat-vector codec decodes straight into rows with the same gene values as
-its per-genome decode.
+flat-vector codec decodes straight into rows that repair leaves unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.area import AreaModel
+from repro.arch.platform import get_platform
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.genome_matrix import (
     LEVEL_WIDTH,
@@ -23,8 +24,9 @@ from repro.encoding.genome_matrix import (
     row_cache_key,
     row_to_genome,
 )
-from repro.encoding.repair import repaired_copy
+from repro.encoding.repair import repair_genome
 from repro.encoding.vector_codec import VectorCodec
+from repro.workloads.registry import get_model
 
 
 def _space(num_levels=2, fixed=None):
@@ -78,12 +80,12 @@ class TestRoundTrip:
 
 class TestRepairParity:
     @pytest.mark.parametrize("fixed", [None, (8, 16)], ids=["free-hw", "fixed-hw"])
-    def test_bit_identical_to_repaired_copy(self, fixed):
+    def test_bit_identical_to_repair_genome(self, fixed):
         space = _space(fixed=fixed)
         genomes = _population(space, 40, seed=3, corrupt=True)
         repaired = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
         for index, genome in enumerate(genomes):
-            want = repaired_copy(genome, space)
+            want = repair_genome(genome.copy(), space)
             assert repaired.genome_at(index).cache_key() == want.cache_key()
 
     def test_three_level_pe_product_shrinks_innermost_first(self):
@@ -94,7 +96,7 @@ class TestRepairParity:
                 level.spatial_size = 200  # 200^3 >> max_pes
         repaired = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
         for index, genome in enumerate(genomes):
-            want = repaired_copy(genome, space)
+            want = repair_genome(genome.copy(), space)
             assert repaired.genome_at(index).cache_key() == want.cache_key()
 
     def test_original_matrix_is_untouched(self):
@@ -112,7 +114,7 @@ class TestKeysAndFingerprints:
         genomes = _population(space, 20, seed=6, corrupt=True)
         repaired = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
         for index, genome in enumerate(genomes):
-            want = repaired_copy(genome, space).cache_key()
+            want = repair_genome(genome.copy(), space).cache_key()
             assert row_cache_key(repaired.data[index].tolist(), 2) == want
 
     def test_mapping_rebuilds_from_row_and_fingerprint(self):
@@ -120,27 +122,48 @@ class TestKeysAndFingerprints:
         genomes = _population(space, 8, seed=7)
         repaired = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
         for index, genome in enumerate(genomes):
-            want = repaired_copy(genome, space).to_mapping()
+            want = repair_genome(genome.copy(), space).to_mapping()
             row = repaired.data[index]
             assert mapping_from_row(row, 2) == want
             assert mapping_from_fingerprint(row.tobytes(), 2) == want
 
 
+#: A fixed PE array per hierarchy depth, for the fixed-hardware spaces.
+_FIXED_PE_ARRAYS = {1: (64,), 2: (8, 16), 3: (4, 8, 2), 4: (2, 4, 2, 4)}
+
+
+def _decoder_vectors(dimension, rng):
+    """Random, constant, out-of-box and near-edge vectors for the decoder."""
+    vectors = [rng.random(dimension) for _ in range(300)]
+    vectors += [np.full(dimension, value) for value in (0.0, 1.0, -5.0, 5.0)]
+    edges = np.array([0.0, 1.0, 1.0 - 1e-6])
+    vectors += [rng.choice(edges, dimension) for _ in range(100)]
+    return vectors
+
+
 class TestCodecDecodeMatrix:
-    @pytest.mark.parametrize("num_levels", [2, 3])
-    def test_rows_match_per_vector_decode(self, num_levels):
-        space = _space(num_levels=num_levels)
-        codec = VectorCodec(space)
+    @pytest.mark.parametrize("platform", ["edge", "cloud"])
+    @pytest.mark.parametrize("model", ["resnet18", "mobilenet_v2", "ncf", "bert"])
+    def test_decoded_rows_are_already_repaired(self, model, platform):
+        # The tracker prices decoded rows without repairing them, so
+        # repair must leave every decoded row exactly as it is.
+        max_pes = AreaModel().max_pes_within(get_platform(platform).area_budget_um2)
         rng = np.random.default_rng(8)
-        vectors = [rng.random(codec.dimension) for _ in range(25)]
-        vectors.append(np.zeros(codec.dimension))
-        vectors.append(np.ones(codec.dimension))
-        matrix = codec.decode_matrix(vectors)
-        for index, vector in enumerate(vectors):
-            assert (
-                matrix.data[index].tolist()
-                == genome_to_genes(codec.decode(vector))
-            )
+        for num_levels in (1, 2, 3, 4):
+            for fixed in (None, _FIXED_PE_ARRAYS[num_levels]):
+                space = GenomeSpace.from_model(
+                    get_model(model),
+                    max_pes=max_pes,
+                    num_levels=num_levels,
+                    fixed_pe_array=fixed,
+                )
+                codec = VectorCodec(space)
+                decoded = codec.decode_matrix(_decoder_vectors(codec.dimension, rng))
+                repaired = repaired_matrix(decoded, space)
+                assert np.array_equal(repaired.data, decoded.data), (
+                    num_levels,
+                    fixed,
+                )
 
     def test_rejects_wrong_dimension(self):
         codec = VectorCodec(_space())

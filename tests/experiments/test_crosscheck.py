@@ -47,6 +47,10 @@ class TestRunCrosscheck:
         with pytest.raises(ValueError, match="designs must be >= 2"):
             run_crosscheck(designs=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_crosscheck(seed=-1)
+
     @pytest.mark.parametrize(
         "gate",
         [

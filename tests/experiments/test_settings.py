@@ -29,6 +29,11 @@ class TestConstants:
         with pytest.raises(ValueError):
             ExperimentSettings(sampling_budget=0)
 
+    def test_negative_seed_is_rejected(self):
+        # NumPy refuses a negative seed, which quarantined every job.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentSettings(seed=-1)
+
     def test_reliability_knob_validation(self):
         with pytest.raises(ValueError):
             ExperimentSettings(retries=-1)

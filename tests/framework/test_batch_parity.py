@@ -14,7 +14,7 @@ import pytest
 from repro.arch.platform import CLOUD, EDGE
 from repro.encoding.genome_matrix import GenomeMatrix
 from repro.encoding.repair import repair_genome
-from repro.framework.evaluator import ENGINES, DesignEvaluator
+from repro.framework.evaluator import DesignEvaluator
 from repro.framework.search import SearchTracker
 from repro.workloads.dims import DIM_INDEX
 from repro.workloads.registry import get_model
@@ -77,7 +77,7 @@ class TestBatchedVsSequential:
         batched = DesignEvaluator(model=resnet18, platform=platform)
         sequential = DesignEvaluator(model=resnet18, platform=platform)
         _, genomes = _seeded_genomes(batched, 20, seed=7)
-        batch_results = batched.evaluate_population(genomes)
+        batch_results = batched.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
         loop_results = [sequential.evaluate_genome(g) for g in genomes]
         assert len(batch_results) == len(loop_results)
         for a, b in zip(batch_results, loop_results):
@@ -131,7 +131,7 @@ class TestBatchedVsSequential:
             tracker_batch.codec.random_vector(rng) for _ in range(16)
         ]
         fits_batch = tracker_batch.evaluate_vector_batch(vectors)
-        fits_loop = [tracker_loop.evaluate_vector(v) for v in vectors]
+        fits_loop = [tracker_loop.evaluate_vector_batch([v])[0] for v in vectors]
         assert fits_batch == fits_loop
 
 
@@ -172,7 +172,7 @@ class TestVectorEngineParity:
         fast = DesignEvaluator(model=resnet18, platform=platform, engine="fast")
         _, genomes = _seeded_genomes(vector, 30, seed=21)
         genomes = genomes + genomes[:10]  # duplicates hit the design memo
-        vector_results = vector.evaluate_population(genomes)
+        vector_results = vector.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
         fast_results = [fast.evaluate_genome(genome) for genome in genomes]
         for a, b in zip(vector_results, fast_results):
             assert a.fitness == b.fitness
@@ -202,38 +202,7 @@ class TestVectorEngineParity:
             str(DIM_INDEX[dim]) for dim in genomes[1].levels[0].order
         )
         with pytest.raises(ValueError, match=rf"permutation.*[\[(]{broken}[\])]$"):
-            vector.evaluate_population(genomes)
-
-    def test_sub_one_genes_price_like_the_scalar_path(self, resnet18):
-        # Unrepaired spatial and tile genes below 1 count as 1, exactly as
-        # Genome.cache_key clamps them on the per-genome path.
-        vector = DesignEvaluator(model=resnet18, platform=EDGE, engine="vector")
-        fast = DesignEvaluator(model=resnet18, platform=EDGE, engine="fast")
-        _, genomes = _seeded_genomes(vector, 8, seed=17)
-        for index, genome in enumerate(genomes):
-            level = genome.levels[index % genome.num_levels]
-            level.spatial_size = (0, -4)[index % 2]
-            level.tiles["K"] = (0, -3)[index % 2]
-            level.tiles["X"] = (-3, 0)[index % 2]
-        vector_results = vector.evaluate_population(genomes)
-        fast_results = [fast.evaluate_genome(genome) for genome in genomes]
-        for a, b in zip(vector_results, fast_results):
-            assert a.fitness == b.fitness
-            assert a.latency == b.latency
-            assert a.design.hardware == b.design.hardware
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_population_results_carry_the_callers_genomes(
-        self, resnet18, engine
-    ):
-        evaluator = DesignEvaluator(model=resnet18, platform=EDGE, engine=engine)
-        _, genomes = _seeded_genomes(evaluator, 6, seed=19)
-        # Equal copies hit the design memo and still get their own object.
-        genomes = genomes + [genome.copy() for genome in genomes[:3]]
-        results = evaluator.evaluate_population(genomes)
-        assert len(results) == len(genomes)
-        for result, genome in zip(results, genomes):
-            assert result.genome is genome
+            vector.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
 
     def test_rejects_unknown_engine(self, resnet18):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@
 from repro.arch.platform import EDGE
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.objective import Objective
-from repro.framework.search import SearchTracker
 from repro.optim.random_search import RandomSearch
 
 
@@ -29,20 +28,6 @@ class TestSearch:
         a = framework.search(RandomSearch(), sampling_budget=40, seed=1)
         b = framework.search(RandomSearch(), sampling_budget=40, seed=2)
         assert a.history != b.history
-
-    def test_budget_oblivious_optimizer_terminates(self, tiny_model):
-        class GreedyForever:
-            """Keeps asking for evaluations until the tracker stops it."""
-
-            name = "greedy"
-
-            def run(self, tracker: SearchTracker, rng) -> None:
-                while True:
-                    tracker.evaluate_vector(tracker.codec.random_vector(rng))
-
-        framework = CoOptimizationFramework(tiny_model, EDGE)
-        result = framework.search(GreedyForever(), sampling_budget=25, seed=0)
-        assert result.evaluations == 25
 
     def test_objective_is_forwarded(self, tiny_model):
         framework = CoOptimizationFramework(tiny_model, EDGE, objective=Objective.EDP)

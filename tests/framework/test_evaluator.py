@@ -6,6 +6,7 @@ import pytest
 from repro.arch.hardware import HardwareConfig
 from repro.arch.platform import EDGE
 from repro.encoding.genome import Genome
+from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.evaluator import INVALID_FITNESS_SCALE, DesignEvaluator
 from repro.framework.objective import Objective
@@ -141,7 +142,7 @@ class TestContextManager:
         for name, make in owners.items():
             with make(str(tmp_path / name)) as owner:
                 evaluator = getattr(owner, "evaluator", owner)
-                evaluator.evaluate_population(genomes)
+                evaluator.evaluate_matrix(GenomeMatrix.from_genomes(genomes))
                 tier = evaluator.persistent_cache
                 assert tier._descriptor is not None, name
                 assert not tier.index_path.exists(), name

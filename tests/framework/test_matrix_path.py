@@ -21,7 +21,7 @@ import pytest
 
 from repro.arch.platform import CLOUD, EDGE
 from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
-from repro.encoding.repair import repaired_copy
+from repro.encoding.repair import repair_genome
 from repro.framework.evaluator import DesignEvaluator, RowGenomeResult
 from repro.framework.search import SearchTracker
 from repro.workloads.registry import get_model
@@ -65,7 +65,7 @@ class TestMatrixMatchesGenomePath:
         space, genomes, matrix = _repaired_population(matrix_evaluator, 25, seed=11)
         matrix_results = matrix_evaluator.evaluate_matrix(matrix)
         for result, genome in zip(matrix_results, genomes):
-            want = genome_evaluator.evaluate_genome(repaired_copy(genome, space))
+            want = genome_evaluator.evaluate_genome(repair_genome(genome.copy(), space))
             _assert_results_identical(result, want)
 
     @PLATFORMS
@@ -91,7 +91,7 @@ class TestMatrixMatchesGenomePath:
             evaluator.evaluate_matrix(matrix), genomes
         ):
             assert isinstance(result, RowGenomeResult)
-            want = reference.evaluate_genome(repaired_copy(genome, space))
+            want = reference.evaluate_genome(repair_genome(genome.copy(), space))
             _assert_results_identical(result, want)
         stats = evaluator.cost_model.vector_stats
         assert stats["rows_vectorized"] > 0
@@ -103,7 +103,7 @@ class TestMatrixMatchesGenomePath:
         space, genomes, matrix = _repaired_population(filled, 10, seed=19)
         for result, genome in zip(filled.evaluate_matrix(matrix), genomes):
             _assert_results_identical(
-                result, want.evaluate_genome(repaired_copy(genome, space))
+                result, want.evaluate_genome(repair_genome(genome.copy(), space))
             )
 
     def test_objective_vectors_ride_along(self, ncf):
@@ -114,7 +114,7 @@ class TestMatrixMatchesGenomePath:
         scalar = DesignEvaluator(model=ncf, platform=EDGE, objectives=objectives)
         space, genomes, matrix = _repaired_population(vector, 12, seed=23)
         for result, genome in zip(vector.evaluate_matrix(matrix), genomes):
-            want = scalar.evaluate_genome(repaired_copy(genome, space))
+            want = scalar.evaluate_genome(repair_genome(genome.copy(), space))
             assert result.objective_vector == want.objective_vector
 
     def test_invalid_orders_are_rejected(self, ncf):
@@ -136,7 +136,7 @@ class TestLazyResults:
         results = evaluator.evaluate_matrix(matrix)
         for result, genome in zip(results, genomes):
             assert isinstance(result, RowGenomeResult)
-            want = repaired_copy(genome, space)
+            want = repair_genome(genome.copy(), space)
             assert result.genome.cache_key() == want.cache_key()
             assert result.design.mapping.cache_key() == want.cache_key()
 
@@ -191,6 +191,20 @@ class TestRowReuse:
         repriced = evaluator.cost_model.vector_stats["rows_vectorized"] - priced
         assert 0 < repriced <= 10 * len(resnet18.layers)
 
+    def test_a_lone_design_takes_the_per_design_path(self, resnet18):
+        # One row skips the vector engine and goes through the layer LRU,
+        # which answers most of a sequential search's layer lookups.
+        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
+        reference = DesignEvaluator(model=resnet18, platform=EDGE)
+        space, genomes, matrix = _repaired_population(evaluator, 1, seed=67)
+        (result,) = evaluator.evaluate_matrix(matrix)
+        stats = evaluator.cost_model.vector_stats
+        assert (stats["rows_vectorized"], stats["rows_fallback"]) == (0, 0)
+        assert evaluator.layer_cache_stats.size > 0
+        assert evaluator.design_cache_stats.misses == 1
+        want = reference.evaluate_genome(repair_genome(genomes[0].copy(), space))
+        _assert_results_identical(result, want)
+
     def test_matrix_rows_stay_out_of_the_layer_lru(self, resnet18):
         # Two generations of gene matrices fill no layer LRU entry; a
         # later tuple-path evaluation on the same evaluator still does.
@@ -231,16 +245,6 @@ class TestRowReuse:
             assert misses == priced - priced_before
             calls.append((hits, misses))
         assert calls[0] == calls[1]
-
-    def test_population_and_matrix_views_share_design_hits(self, ncf):
-        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
-        _, _, matrix = _repaired_population(evaluator, 12, seed=53)
-        evaluator.evaluate_population(matrix.to_genomes())
-        before = evaluator.design_cache_stats
-        evaluator.evaluate_matrix(matrix)
-        after = evaluator.design_cache_stats
-        assert after.hits - before.hits == 12
-        assert after.misses == before.misses
 
     def test_cache_clear_drops_both_lrus(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
@@ -349,6 +353,8 @@ class TestTrackerMatrixViews:
         rng = np.random.default_rng(61)
         vectors = [tracker_batch.codec.random_vector(rng) for _ in range(12)]
         fits_batch = tracker_batch.evaluate_vector_batch(vectors)
-        fits_loop = [tracker_loop.evaluate_vector(vector) for vector in vectors]
+        fits_loop = [
+            tracker_loop.evaluate_vector_batch([vector])[0] for vector in vectors
+        ]
         assert fits_batch == fits_loop
         assert tracker_batch.history == tracker_loop.history

@@ -6,7 +6,7 @@ import pytest
 from repro.arch.platform import EDGE
 from repro.encoding.genome_matrix import GenomeMatrix
 from repro.framework.evaluator import DesignEvaluator
-from repro.framework.search import BudgetExhausted, SearchResult, SearchTracker
+from repro.framework.search import SearchResult, SearchTracker
 
 
 @pytest.fixture
@@ -29,18 +29,19 @@ class TestBudget:
         assert tracker.evaluations == 1
         assert tracker.remaining == 9
 
-    def test_budget_exhaustion_raises(self, tracker, rng):
-        for _ in range(10):
-            tracker.evaluate_vector(tracker.codec.random_vector(rng))
-        assert tracker.exhausted
-        with pytest.raises(BudgetExhausted):
-            tracker.evaluate_vector(tracker.codec.random_vector(rng))
-        # The failed call must not be charged.
-        assert tracker.evaluations == 10
-
     def test_vector_evaluations_charge_budget_too(self, tracker, rng):
-        tracker.evaluate_vector(tracker.codec.random_vector(rng))
+        tracker.evaluate_vector_batch([tracker.codec.random_vector(rng)])
         assert tracker.evaluations == 1
+
+    def test_calls_past_the_budget_price_nothing(self, tracker, rng):
+        for _ in range(10):
+            tracker.evaluate_vector_batch([tracker.codec.random_vector(rng)])
+        assert tracker.exhausted
+        assert tracker.evaluate_vector_batch([tracker.codec.random_vector(rng)]) == []
+        genome = tracker.space.random_genome(rng)
+        assert tracker.evaluate_matrix(GenomeMatrix.from_genomes([genome])) == []
+        # The refused calls are not charged.
+        assert tracker.evaluations == 10
 
     def test_invalid_budget_rejected(self, tiny_model):
         evaluator = DesignEvaluator(model=tiny_model, platform=EDGE)
@@ -52,7 +53,7 @@ class TestBestTracking:
     def test_best_improves_monotonically(self, tracker, rng):
         best_fitness = -np.inf
         for _ in range(10):
-            tracker.evaluate_vector(tracker.codec.random_vector(rng))
+            tracker.evaluate_vector_batch([tracker.codec.random_vector(rng)])
             assert tracker.best is not None
             assert tracker.best.fitness >= best_fitness
             best_fitness = tracker.best.fitness

@@ -76,7 +76,7 @@ class TestEncodingThreeLevels:
         space = GenomeSpace.from_model(tiny_model, max_pes=512, num_levels=3)
         codec = VectorCodec(space)
         assert codec.dimension == 3 * 14
-        genome = codec.decode(codec.random_vector(rng))
+        genome = codec.decode_matrix([codec.random_vector(rng)]).genome_at(0)
         assert genome.num_levels == 3
 
 

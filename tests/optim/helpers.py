@@ -3,8 +3,8 @@
 ``QuadraticTracker`` mimics the :class:`SearchTracker` interface with a
 cheap analytic fitness (a negated sphere function), so the black-box
 optimizers can be unit-tested for convergence without the full framework.
-It offers the single-vector view and the batched ``evaluate_matrix``
-and ``evaluate_vector_batch`` views the population optimizers call.
+It offers the batched ``evaluate_matrix`` and ``evaluate_vector_batch``
+views the optimizers call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.encoding.genome import GenomeSpace
 from repro.encoding.vector_codec import VectorCodec
-from repro.framework.search import BudgetExhausted
 
 
 def make_space(max_pes: int = 256) -> GenomeSpace:
@@ -58,11 +57,6 @@ class QuadraticTracker:
         self.best_fitness = max(self.best_fitness, fitness)
         self.fitness_log.append(fitness)
         return fitness
-
-    def evaluate_vector(self, vector: np.ndarray) -> float:
-        if self.exhausted:
-            raise BudgetExhausted("budget exhausted")
-        return self._score(np.clip(np.asarray(vector, dtype=float), 0.0, 1.0))
 
     def evaluate_matrix(self, matrix) -> List[float]:
         """Score a gene matrix through the codec, truncated to the budget."""

@@ -33,7 +33,9 @@ class TestPortfolio:
 
             def run(self, tracker, rng):
                 while not tracker.exhausted:
-                    tracker.evaluate_vector(rng.random(tracker.vector_dimension))
+                    tracker.evaluate_vector_batch(
+                        [rng.random(tracker.vector_dimension)]
+                    )
                     self.evaluations += 1
 
         members = [CountingMember(), CountingMember(), CountingMember()]

@@ -36,11 +36,12 @@ class TestCommonBehaviour:
 
 @pytest.mark.parametrize(
     "optimizer",
-    [TBPSA(initial_population=8), CMAES(population_size=8)],
+    [TBPSA(initial_population=8), CMAES(population_size=8), OnePlusOneES()],
     ids=lambda o: o.name,
 )
 def test_generations_are_priced_in_batches(optimizer, rng):
-    # 100 is not a multiple of the initial generation size of 8.
+    # 100 is not a multiple of the initial generation size of 8; (1+1)-ES
+    # prices one-row batches.
     tracker = BatchSpyTracker(sampling_budget=100)
     optimizer.run(tracker, rng)
     assert tracker.evaluations == tracker.batched_evaluations == 100

@@ -159,6 +159,10 @@ class TestParser:
         "argv, message",
         [
             (["search", "--budget", "0"], "must be >= 1"),
+            (["search", "--seed", "-1"], "must be >= 0"),
+            (["fig5", "--seed", "-1"], "must be >= 0"),
+            (["experiments", "--smoke", "--seed", "-1"], "must be >= 0"),
+            (["crosscheck", "--seed", "-1"], "must be >= 0"),
             (["search", "--checkpoint-every", "0"], "must be >= 1"),
             (["experiments", "--smoke", "--checkpoint-every", "0"], "must be >= 1"),
             (["experiments", "--smoke", "--budget", "-3"], "must be >= 1"),

@@ -120,7 +120,7 @@ def genome_to_genes(genome: Genome) -> List[int]:
 
 def row_to_genome(row: np.ndarray, num_levels: int) -> Genome:
     """Rebuild a :class:`Genome` from one gene row."""
-    genes = [int(value) for value in row]
+    genes = row.tolist()
     levels: List[LevelGenes] = []
     for level_index in range(num_levels):
         base = level_index * LEVEL_WIDTH

@@ -65,24 +65,28 @@ class VectorCodec:
                     f"expected a vector of length {self.dimension}, "
                     f"got {values.size}"
                 )
+            # Python floats and one row write: NumPy scalar reads and
+            # writes cost more than the arithmetic on a lone vector.
+            keys = values.tolist()
+            genes = []
             remaining_pes = self.space.max_pes
             for level_index in range(num_levels):
-                chunk = values[
-                    level_index * _PER_LEVEL : (level_index + 1) * _PER_LEVEL
-                ]
-                base = level_index * LEVEL_WIDTH
-                spatial = self._decode_spatial(chunk[0], level_index, remaining_pes)
+                start = level_index * _PER_LEVEL
+                spatial = self._decode_spatial(keys[start], level_index, remaining_pes)
                 remaining_pes = max(1, remaining_pes // spatial)
-                row[base] = spatial
-                row[base + 1] = min(dims_count - 1, int(chunk[1] * dims_count))
-                row[base + 2 : base + 8] = np.argsort(
-                    chunk[2 : 2 + dims_count], kind="stable"
+                genes.append(spatial)
+                genes.append(min(dims_count - 1, int(keys[start + 1] * dims_count)))
+                genes.extend(
+                    np.argsort(
+                        values[start + 2 : start + 2 + dims_count], kind="stable"
+                    ).tolist()
                 )
-                tile_keys = chunk[2 + dims_count :]
-                for position in range(dims_count):
-                    row[base + 8 + position] = _scale_log(
-                        tile_keys[position], 1, bounds[position]
-                    )
+                tiles = start + 2 + dims_count
+                genes.extend(
+                    _scale_log(keys[tiles + position], 1, bounds[position])
+                    for position in range(dims_count)
+                )
+            row[:] = genes
         return GenomeMatrix(rows, num_levels)
 
     # -- encoding ----------------------------------------------------------

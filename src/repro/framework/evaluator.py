@@ -117,6 +117,8 @@ class RowGenomeResult(EvaluationResult):
     def genome(self) -> Genome:
         cached = self.__dict__.get("_genome_object")
         if cached is None:
+            from repro.encoding.genome_matrix import LEVEL_WIDTH
+
             row = np.frombuffer(self.__dict__["_genome_row"], dtype=np.int64)
             cached = row_to_genome(row, len(row) // LEVEL_WIDTH)
             self.__dict__["_genome_object"] = cached

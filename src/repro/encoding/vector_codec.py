@@ -76,11 +76,8 @@ class VectorCodec:
                 remaining_pes = max(1, remaining_pes // spatial)
                 genes.append(spatial)
                 genes.append(min(dims_count - 1, int(keys[start + 1] * dims_count)))
-                genes.extend(
-                    np.argsort(
-                        values[start + 2 : start + 2 + dims_count], kind="stable"
-                    ).tolist()
-                )
+                order_keys = values[start + 2 : start + 2 + dims_count]
+                genes.extend(np.argsort(order_keys, kind="stable").tolist())
                 tiles = start + 2 + dims_count
                 genes.extend(
                     _scale_log(keys[tiles + position], 1, bounds[position])

@@ -1,28 +1,23 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures.  Because a
-full paper-scale run (40K samples per search) takes hours, the benchmarks
-default to a scaled-down sampling budget that preserves the relative
-ordering of the schemes; both knobs can be overridden through environment
-variables:
+``bench_search_throughput.py`` times whole searches.  Because a
+paper-scale search (40K samples) takes minutes, it defaults to a
+scaled-down sampling budget; both knobs can be overridden through
+environment variables:
 
 ===========================  =============================================
 ``REPRO_BENCH_BUDGET``       sampling budget per search (default 600)
-``REPRO_BENCH_MODELS``       comma-separated model list (default: all 7)
 ``REPRO_BENCH_SEED``         random seed (default 0)
 ===========================  =============================================
 
-Run with ``pytest benchmarks/ --benchmark-only -s`` to also see the
-regenerated tables.
+Run with ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.experiments.settings import DEFAULT_MODELS, ExperimentSettings
+from repro.experiments.settings import ExperimentSettings
 
 #: Default per-search sampling budget used by the benchmarks.
 DEFAULT_BENCH_BUDGET = 600
@@ -32,21 +27,4 @@ def bench_settings() -> ExperimentSettings:
     """Experiment settings derived from the benchmark environment variables."""
     budget = int(os.environ.get("REPRO_BENCH_BUDGET", DEFAULT_BENCH_BUDGET))
     seed = int(os.environ.get("REPRO_BENCH_SEED", 0))
-    models_env = os.environ.get("REPRO_BENCH_MODELS", "")
-    models = (
-        tuple(name.strip() for name in models_env.split(",") if name.strip())
-        if models_env
-        else DEFAULT_MODELS
-    )
-    return ExperimentSettings(models=models, sampling_budget=budget, seed=seed)
-
-
-@pytest.fixture(scope="session")
-def settings() -> ExperimentSettings:
-    """Session-wide benchmark settings."""
-    return bench_settings()
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an expensive harness exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    return ExperimentSettings(sampling_budget=budget, seed=seed)

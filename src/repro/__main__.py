@@ -11,14 +11,10 @@ Subcommands
 ``evaluate``
     Evaluate a fixed dataflow template on a model with a given PE array —
     a search-free sanity check of the cost model.
-``fig5`` / ``fig6`` / ``fig7`` / ``ablations``
-    Regenerate the paper's figures (thin wrappers over
-    ``repro.experiments``).
-``pareto``
-    Multi-objective Pareto-front suite: one NSGA-II search per model
-    yields the whole latency/energy/area trade-off curve (also reachable
-    as ``experiments --suite pareto``); ``--verify-store`` checks stored
-    fronts in CI.
+``fig5`` / ``fig6`` / ``fig7`` / ``ablations`` / ``pareto``
+    Regenerate one of the paper's figures, the ablations or the
+    multi-objective Pareto-front suite (one NSGA-II search per model):
+    ``repro <figure> ARGS`` is ``repro experiments ARGS --suite <figure>``.
 ``experiments``
     The unified sweep runner: compile figure suites (or custom grids) into
     jobs, stream results to a JSONL store, ``--resume`` interrupted sweeps
@@ -26,7 +22,8 @@ Subcommands
     boundary with retries (``--retries``, ``--retry-backoff``), a watchdog
     timeout (``--job-timeout``) and poison-job quarantine; stores can be
     integrity-checked (``--verify-store``), cleaned (``--repair-store``)
-    and summarised (``--status``), ``--checkpoint-dir`` makes killed or
+    and summarised (``--status``); ``--verify-store`` also checks every
+    stored Pareto front.  ``--checkpoint-dir`` makes killed or
     interrupted searches resume bit-identically mid-search, and
     ``--fault-plan`` injects deterministic chaos for testing.
 ``crosscheck``
@@ -43,11 +40,6 @@ from typing import Optional, Sequence
 
 from repro.analysis import pareto_front_report
 from repro.arch.platform import get_platform
-from repro.experiments import ablations as ablations_module
-from repro.experiments import fig5 as fig5_module
-from repro.experiments import fig6 as fig6_module
-from repro.experiments import fig7 as fig7_module
-from repro.experiments import pareto as pareto_module
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import bounded, positive_int
 from repro.cost.backend import BACKENDS
@@ -60,6 +52,10 @@ from repro.optim.registry import available_optimizers, get_optimizer
 from repro.serialization import pareto_result_to_dict, save_json, search_result_to_dict
 from repro.workloads.registry import available_models, get_model
 from repro.workloads.suite import ModelSuite
+
+#: Figure subcommands: ``repro <figure> ARGS`` runs
+#: ``repro experiments ARGS --suite <figure>``.
+FIGURES = ("fig5", "fig6", "fig7", "ablations", "pareto")
 
 
 def _cmd_models(_: argparse.Namespace) -> int:
@@ -292,33 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--pe-rows", type=positive_int, default=16)
     evaluate.add_argument("--pe-cols", type=positive_int, default=16)
 
-    subparsers.add_parser("fig5", add_help=False)
-    subparsers.add_parser("fig6", add_help=False)
-    subparsers.add_parser("fig7", add_help=False)
-    subparsers.add_parser("ablations", add_help=False)
-    subparsers.add_parser("pareto", add_help=False)
-    subparsers.add_parser("experiments", add_help=False)
-    subparsers.add_parser("crosscheck", add_help=False)
+    for name in FIGURES + ("experiments", "crosscheck"):
+        subparsers.add_parser(name, add_help=False)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     argv = list(argv) if argv is not None else sys.argv[1:]
-    # The figure subcommands forward their remaining arguments unchanged.
-    if argv and argv[0] in (
-        "fig5", "fig6", "fig7", "ablations", "pareto", "experiments",
-        "crosscheck",
-    ):
-        forwarding = {
-            "fig5": fig5_module.main,
-            "fig6": fig6_module.main,
-            "fig7": fig7_module.main,
-            "ablations": ablations_module.main,
-            "pareto": pareto_module.main,
-            "experiments": runner_module.main,
-            "crosscheck": crosscheck_module.main,
-        }
+    if argv and argv[0] in FIGURES:
+        # argparse keeps the last --suite, so the alias's own suite wins.
+        argv = ["experiments", *argv[1:], "--suite", argv[0]]
+    # These subcommands parse their remaining arguments themselves.
+    forwarding = {"experiments": runner_module.main, "crosscheck": crosscheck_module.main}
+    if argv and argv[0] in forwarding:
         return forwarding[argv[0]](argv[1:])
 
     parser = build_parser()

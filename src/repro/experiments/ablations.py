@@ -11,26 +11,17 @@ Two ablations are provided:
 
 Run from the command line::
 
-    python -m repro.experiments.ablations --budget 1000
+    python -m repro ablations --budget 1000
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.jobs import JobSpec
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    Outcome,
-    ResultStore,
-    SweepRunner,
-    add_sweep_arguments,
-    settings_from_args,
-    validate_sweep_args,
-)
+from repro.experiments.runner import Outcome
 from repro.experiments.settings import ExperimentSettings
 from repro.framework.search import SearchResult
 
@@ -132,62 +123,3 @@ def ablation_result_from_outcomes(
         result.latency.setdefault(spec.model, {})[spec.scheme_label] = value
         result.searches.setdefault(spec.model, {})[spec.scheme_label] = search
     return result
-
-
-def run_operator_ablation(
-    platform_name: str = "edge",
-    settings: Optional[ExperimentSettings] = None,
-    models: Sequence[str] = ABLATION_MODELS,
-    store: Union[ResultStore, str, Path, None] = None,
-    resume: bool = False,
-) -> AblationResult:
-    """Compare DiGamma against variants with operators disabled."""
-    settings = settings if settings is not None else ExperimentSettings()
-    jobs = compile_operator_ablation_jobs(platform_name, settings, models)
-    runner = SweepRunner(jobs, settings=settings, store=store, resume=resume)
-    return ablation_result_from_outcomes(platform_name, runner.run())
-
-
-def run_buffer_allocation_ablation(
-    platform_name: str = "edge",
-    settings: Optional[ExperimentSettings] = None,
-    models: Sequence[str] = ("resnet18",),
-    store: Union[ResultStore, str, Path, None] = None,
-    resume: bool = False,
-) -> AblationResult:
-    """Compare exact-requirement buffer allocation against area filling."""
-    settings = settings if settings is not None else ExperimentSettings()
-    jobs = compile_buffer_allocation_jobs(platform_name, settings, models)
-    runner = SweepRunner(jobs, settings=settings, store=store, resume=resume)
-    return ablation_result_from_outcomes(
-        platform_name, runner.run(), metric="latency_area_product"
-    )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--platform", choices=("edge", "cloud"), default="edge", help="platform resources"
-    )
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    validate_sweep_args(parser, args)
-
-    settings = settings_from_args(args)
-    operator_result = run_operator_ablation(
-        args.platform, settings, store=args.store, resume=args.resume
-    )
-    print(operator_result.report("Ablation A1 - DiGamma operators (latency, cycles)"))
-    print()
-    buffer_result = run_buffer_allocation_ablation(
-        args.platform, settings, store=args.store, resume=args.resume
-    )
-    print(buffer_result.report(
-        "Ablation A2 - buffer allocation strategy (latency-area product)"
-    ))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,15 +8,13 @@ geometric-mean row — the same layout as the paper's Fig. 5.
 
 Run from the command line::
 
-    python -m repro.experiments.fig5 --platform edge --budget 1500
+    python -m repro fig5 --platform edge --budget 1500
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.jobs import JobSpec
 from repro.experiments.reporting import (
@@ -24,19 +22,8 @@ from repro.experiments.reporting import (
     format_table,
     normalize_by_column,
 )
-from repro.experiments.runner import (
-    Outcome,
-    ResultStore,
-    SweepRunner,
-    add_sweep_arguments,
-    settings_from_args,
-    validate_sweep_args,
-)
-from repro.experiments.settings import (
-    DEFAULT_MODELS,
-    FIG5_OPTIMIZERS,
-    ExperimentSettings,
-)
+from repro.experiments.runner import Outcome
+from repro.experiments.settings import FIG5_OPTIMIZERS, ExperimentSettings
 from repro.framework.search import SearchResult
 from repro.optim.registry import optimizer_class
 
@@ -122,49 +109,3 @@ def fig5_result_from_outcomes(
         )
         result.searches.setdefault(spec.model, {})[label] = search
     return result
-
-
-def run_fig5(
-    platform_name: str = "edge",
-    settings: Optional[ExperimentSettings] = None,
-    optimizers: Sequence[str] = FIG5_OPTIMIZERS,
-    store: Union[ResultStore, str, Path, None] = None,
-    resume: bool = False,
-) -> Fig5Result:
-    """Run the Fig. 5 comparison on one platform."""
-    settings = settings if settings is not None else ExperimentSettings()
-    jobs = compile_fig5_jobs(platform_name, settings, optimizers)
-    runner = SweepRunner(jobs, settings=settings, store=store, resume=resume)
-    return fig5_result_from_outcomes(platform_name, optimizers, runner.run())
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--platform",
-        choices=("edge", "cloud", "both"),
-        default="edge",
-        help="platform resources to evaluate (default: edge)",
-    )
-    parser.add_argument(
-        "--models",
-        nargs="+",
-        default=list(DEFAULT_MODELS),
-        help="models to evaluate (default: the paper's seven models)",
-    )
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    validate_sweep_args(parser, args)
-
-    settings = settings_from_args(args, models=args.models)
-    platforms = ("edge", "cloud") if args.platform == "both" else (args.platform,)
-    for platform_name in platforms:
-        result = run_fig5(platform_name, settings, store=args.store, resume=args.resume)
-        print(result.report())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,26 +8,17 @@ and the PE:buffer area split — the same quantities as the paper's Fig. 7.
 
 Run from the command line::
 
-    python -m repro.experiments.fig7 --budget 1500
+    python -m repro fig7 --budget 1500
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 from repro.arch.platform import get_platform
 from repro.experiments.jobs import JobSpec
-from repro.experiments.runner import (
-    Outcome,
-    ResultStore,
-    SweepRunner,
-    add_sweep_arguments,
-    settings_from_args,
-    validate_sweep_args,
-)
+from repro.experiments.runner import Outcome
 from repro.experiments.settings import ExperimentSettings
 from repro.framework.search import SearchResult
 
@@ -149,40 +140,3 @@ def fig7_result_from_outcomes(
         area_budget_um2=get_platform(platform_name).area_budget_um2,
         solutions=solutions,
     )
-
-
-def run_fig7(
-    model_name: str = "mnasnet",
-    platform_name: str = "edge",
-    settings: Optional[ExperimentSettings] = None,
-    store: Union[ResultStore, str, Path, None] = None,
-    resume: bool = False,
-) -> Fig7Result:
-    """Run the three representative schemes and collect their best solutions."""
-    settings = settings if settings is not None else ExperimentSettings()
-    jobs = compile_fig7_jobs(model_name, platform_name, settings)
-    runner = SweepRunner(jobs, settings=settings, store=store, resume=resume)
-    return fig7_result_from_outcomes(model_name, platform_name, runner.run())
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--model", default="mnasnet", help="model to inspect")
-    parser.add_argument(
-        "--platform", choices=("edge", "cloud"), default="edge", help="platform resources"
-    )
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    validate_sweep_args(parser, args)
-
-    settings = settings_from_args(args)
-    result = run_fig7(
-        args.model, args.platform, settings, store=args.store, resume=args.resume
-    )
-    print(result.report())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

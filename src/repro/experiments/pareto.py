@@ -8,38 +8,22 @@ operating point after the fact instead of re-searching.
 
 Run from the command line::
 
-    python -m repro experiments --suite pareto --budget 1500
     python -m repro pareto --platform edge --budget 1500
 
-The module doubles as the CI gate for the multi-objective path::
-
-    python -m repro pareto --verify-store results.jsonl
-
-which asserts that every stored front is non-dominated and that the
-search used the batched evaluation fast path (``batch_calls > 0``) — the
-exact regression the portfolio budget-slice fix guarded against for
-scalar optimizers.
+``python -m repro experiments --verify-store results.jsonl`` checks the
+stored fronts (see :func:`repro.experiments.runner.front_problems`).
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import pareto_front_report
 from repro.experiments.jobs import JobSpec
-from repro.experiments.runner import (
-    Outcome,
-    ResultStore,
-    SweepRunner,
-    add_sweep_arguments,
-    settings_from_args,
-    validate_sweep_args,
-)
-from repro.experiments.settings import DEFAULT_MODELS, ExperimentSettings
-from repro.framework.pareto import ParetoResult, non_dominated_indices
+from repro.experiments.runner import Outcome
+from repro.experiments.settings import ExperimentSettings
+from repro.framework.pareto import ParetoResult
 
 #: The default multi-objective axis set of the suite.
 PARETO_OBJECTIVES: Tuple[str, ...] = ("latency", "energy", "area")
@@ -108,123 +92,3 @@ def pareto_result_from_outcomes(
         if isinstance(outcome, ParetoResult):
             result.fronts[spec.model] = outcome
     return result
-
-
-def run_pareto(
-    platform_name: str = "edge",
-    settings: Optional[ExperimentSettings] = None,
-    models: Optional[Sequence[str]] = None,
-    objectives: Sequence[str] = PARETO_OBJECTIVES,
-    store: Union[ResultStore, str, Path, None] = None,
-    resume: bool = False,
-) -> ParetoSuiteResult:
-    """Run the Pareto suite on one platform."""
-    settings = settings if settings is not None else ExperimentSettings()
-    jobs = compile_pareto_jobs(platform_name, settings, models, objectives)
-    runner = SweepRunner(jobs, settings=settings, store=store, resume=resume)
-    return pareto_result_from_outcomes(platform_name, runner.run(), objectives)
-
-
-# -- CI verification -----------------------------------------------------------
-
-
-def verify_store(path: Union[str, Path]) -> List[str]:
-    """Invariant check of every Pareto record in a result store.
-
-    Returns a list of human-readable problems (empty means the store
-    passes): a front must be non-empty, mutually non-dominated, its
-    members' objective vectors must match the declared objective count,
-    and the search must have used the batched evaluation views
-    (``batch_calls > 0`` — multi-objective search must not silently drop
-    the vector-engine fast path).
-    """
-    problems: List[str] = []
-    records = ResultStore(path).records()
-    pareto_records = [
-        record for record in records if "front" in record.get("result", {})
-    ]
-    if not pareto_records:
-        problems.append(f"{path}: no Pareto records found among {len(records)}")
-        return problems
-    from repro.serialization import pareto_result_from_dict
-
-    for record in pareto_records:
-        job_id = record.get("job_id", "<missing id>")
-        front = pareto_result_from_dict(record["result"])
-        if not front.front:
-            problems.append(f"{job_id}: empty front")
-            continue
-        values = front.front_values
-        if any(len(vector) != len(front.objectives) for vector in values):
-            problems.append(f"{job_id}: objective vector arity mismatch")
-        if len(non_dominated_indices(values)) != len(values):
-            problems.append(f"{job_id}: stored front is not non-dominated")
-        if len(set(values)) != len(values):
-            problems.append(f"{job_id}: stored front has duplicate vectors")
-        if front.batch_calls <= 0:
-            problems.append(
-                f"{job_id}: batch_calls == 0 (batched fast path not engaged)"
-            )
-    return problems
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--platform",
-        choices=("edge", "cloud", "both"),
-        default="edge",
-        help="platform resources to evaluate (default: edge)",
-    )
-    parser.add_argument(
-        "--models",
-        nargs="+",
-        default=list(DEFAULT_MODELS),
-        help="models to evaluate (default: the paper's seven models)",
-    )
-    parser.add_argument(
-        "--objectives",
-        default=",".join(PARETO_OBJECTIVES),
-        help="comma-separated objective axes (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--verify-store",
-        default=None,
-        metavar="PATH",
-        help="verify the Pareto records of a JSONL store (non-dominated, "
-        "batched fast path engaged) instead of running searches",
-    )
-    add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    if args.verify_store:
-        problems = verify_store(args.verify_store)
-        if problems:
-            for problem in problems:
-                print(f"FAIL: {problem}")
-            return 1
-        print(f"OK: {args.verify_store} Pareto records verified")
-        return 0
-    validate_sweep_args(parser, args)
-
-    settings = settings_from_args(args, models=args.models)
-    objectives = tuple(
-        name.strip() for name in args.objectives.split(",") if name.strip()
-    )
-    platforms = ("edge", "cloud") if args.platform == "both" else (args.platform,)
-    for platform_name in platforms:
-        result = run_pareto(
-            platform_name,
-            settings,
-            models=args.models,
-            objectives=objectives,
-            store=args.store,
-            resume=args.resume,
-        )
-        print(result.report())
-        print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,7 +11,8 @@ This module is the shared engine they now compile into:
   structured failure records, and loads tolerate corruption: undecodable
   lines are counted, warned about and quarantined into ``<store>.corrupt``
   instead of silently dropped (``verify()`` / ``repair()`` expose the same
-  checks programmatically and through ``--verify-store``).
+  checks programmatically and through ``--verify-store``, which also
+  checks every stored Pareto front with :func:`front_problems`).
 * :class:`SweepRunner` — executes a list of :class:`JobSpec` jobs through
   shared :class:`CoOptimizationFramework` instances (one per
   model/platform/constraint combination, so evaluation caches are reused
@@ -23,9 +24,10 @@ This module is the shared engine they now compile into:
   watchdog enforces a per-job wall-clock timeout (``--job-timeout``), and
   jobs that exhaust their attempts are quarantined — ``--resume`` re-runs
   failed-but-retryable jobs while skipping quarantined ones.
-* a CLI, reachable as ``python -m repro experiments``, that compiles the
-  figure suites into job lists, runs them and renders the tables from the
-  result store.
+* a CLI, reachable as ``python -m repro experiments`` (and as
+  ``python -m repro fig5|fig6|fig7|ablations|pareto``, aliases of its
+  ``--suite``), that compiles the figure suites into job lists, runs them
+  and renders the tables from the result store.
 """
 
 from __future__ import annotations
@@ -64,9 +66,13 @@ from repro.experiments.settings import (
     FIG5_OPTIMIZERS,
     ExperimentSettings,
 )
-from repro.framework.pareto import ParetoResult
+from repro.framework.pareto import ParetoResult, non_dominated_indices
 from repro.framework.search import SearchInterrupted, SearchResult
-from repro.serialization import result_from_dict, result_to_dict
+from repro.serialization import (
+    pareto_result_from_dict,
+    result_from_dict,
+    result_to_dict,
+)
 
 #: Either kind of search outcome: a single best or a Pareto front.
 AnyResult = Union[SearchResult, ParetoResult]
@@ -297,11 +303,17 @@ class ResultStore:
     def verify(self) -> dict:
         """Integrity report of the store; read-only.
 
-        ``ok`` is True when every line decodes.  ``jobs`` counts each job
-        id once by its *latest* record's status, which is what resume
+        ``ok`` is True when every line decodes and every stored Pareto
+        front passes :func:`front_problems` (``fronts`` counts the fronts
+        checked, ``problems`` lists what failed).  ``jobs`` counts each
+        job id once by its *latest* record's status, which is what resume
         semantics key off.
         """
         good, corrupt = self._scan()
+        fronts = [
+            record for _, _, record in good if "front" in record.get("result", {})
+        ]
+        problems = [problem for record in fronts for problem in front_problems(record)]
         latest: Dict[str, str] = {}
         failure_records = 0
         for _, _, record in good:
@@ -319,7 +331,9 @@ class ResultStore:
             "jobs": jobs,
             "corrupt_lines": len(corrupt),
             "corrupt_line_numbers": [number for number, _ in corrupt],
-            "ok": not corrupt,
+            "fronts": len(fronts),
+            "problems": problems,
+            "ok": not corrupt and not problems,
         }
 
     def repair(self) -> dict:
@@ -388,6 +402,32 @@ class ResultStore:
             record["job_id"]: job_from_dict(record["spec"])
             for record in self.records()
         }
+
+
+def front_problems(record: dict) -> List[str]:
+    """What is wrong with one stored Pareto record (empty when nothing).
+
+    A front must be non-empty and mutually non-dominated, hold no
+    duplicate vectors, give every member one value per declared objective,
+    and come from a search that used the batched evaluation views
+    (``batch_calls > 0`` — multi-objective search must not silently drop
+    the vector-engine fast path).
+    """
+    job_id = record.get("job_id", "<missing id>")
+    front = pareto_result_from_dict(record["result"])
+    if not front.front:
+        return [f"{job_id}: empty front"]
+    values = front.front_values
+    problems = []
+    if any(len(vector) != len(front.objectives) for vector in values):
+        problems.append(f"{job_id}: objective vector arity mismatch")
+    if len(non_dominated_indices(values)) != len(values):
+        problems.append(f"{job_id}: stored front is not non-dominated")
+    if len(set(values)) != len(values):
+        problems.append(f"{job_id}: stored front has duplicate vectors")
+    if front.batch_calls <= 0:
+        problems.append(f"{job_id}: batch_calls == 0 (batched fast path not engaged)")
+    return problems
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -990,7 +1030,7 @@ positive_int = bounded(int, 1)
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Args shared by the figure harness CLIs and ``repro experiments``."""
+    """The sweep arguments of ``repro experiments`` (and its figure aliases)."""
     parser.add_argument(
         "--budget",
         type=positive_int,
@@ -1095,14 +1135,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def validate_sweep_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Reject argument combinations that would silently do the wrong thing."""
-    if args.resume and not args.store:
-        parser.error("--resume requires --store (there is nothing to resume from)")
-
-
 def settings_from_args(
     args: argparse.Namespace, models: Optional[Sequence[str]] = None
 ) -> ExperimentSettings:
@@ -1113,16 +1145,16 @@ def settings_from_args(
         models=tuple(models) if models is not None else DEFAULT_MODELS,
         sampling_budget=args.budget,
         seed=args.seed,
-        engine=getattr(args, "engine", "vector"),
-        backend=getattr(args, "backend", "analytic"),
-        cache_dir=getattr(args, "cache_dir", None),
-        retries=getattr(args, "retries", 0),
-        retry_backoff=getattr(args, "retry_backoff", 0.1),
-        job_timeout=getattr(args, "job_timeout", None),
-        durability=getattr(args, "durability", "flush"),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
-        fault_plan=parse_fault_plan(getattr(args, "fault_plan", None)),
+        engine=args.engine,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        retries=args.retries,
+        retry_backoff=args.retry_backoff,
+        job_timeout=args.job_timeout,
+        durability=args.durability,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        fault_plan=parse_fault_plan(args.fault_plan),
     )
 
 
@@ -1291,8 +1323,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="integrity-check a JSONL result store (decodable lines, "
-        "per-status job counts) instead of running a sweep; exits 1 on "
-        "corruption",
+        "per-status job counts, every stored Pareto front non-empty, "
+        "non-dominated and duplicate-free with batch_calls > 0) instead of "
+        "running a sweep; exits 1 on a missing store, corruption or a bad "
+        "front",
     )
     parser.add_argument(
         "--repair-store",
@@ -1326,7 +1360,10 @@ def _print_store_report(report: dict) -> None:
                 if report["corrupt_lines"]
                 else ""
             )
+            + f", {report['fronts']} Pareto front(s) checked"
         )
+        for problem in report["problems"]:
+            print(f"FAIL: {problem}")
     else:
         print(
             f"{report['path']}: {report['records']} record(s) kept, "
@@ -1368,7 +1405,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = 0
         if args.repair_store:
             _print_store_report(ResultStore(args.repair_store).repair())
-        if args.verify_store:
+        if args.verify_store and not Path(args.verify_store).is_file():
+            print(f"{args.verify_store}: no such result store", file=sys.stderr)
+            status = 1
+        elif args.verify_store:
             report = ResultStore(args.verify_store).verify()
             _print_store_report(report)
             status = 0 if report["ok"] else 1
@@ -1399,7 +1439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard = parse_shard(args.shard)
         except ValueError as error:
             parser.error(str(error))
-    validate_sweep_args(parser, args)
+    if args.resume and not args.store:
+        parser.error("--resume requires --store (there is nothing to resume from)")
     settings = settings_from_args(args, models=args.models)
     if settings.backend != "analytic":
         # Rendering matches outcomes to suite specs by job_id, and the

@@ -1,9 +1,10 @@
 """Shared experiment configuration.
 
 The paper runs every optimizer with a 40K sampling budget (about 20 CPU
-minutes per search).  The defaults here are scaled down so the complete
-benchmark suite finishes on one machine in minutes; every harness accepts a
-``sampling_budget`` (and the CLIs a ``--budget``) to run at paper scale.
+minutes per search).  The defaults here are scaled down so a figure sweep
+finishes on one machine in minutes; every suite accepts a
+``sampling_budget`` (and ``repro experiments`` a ``--budget``) to run at
+paper scale.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ FIG5_OPTIMIZERS: Tuple[str, ...] = (
 #: Paper-scale sampling budget (Sec. V-A).
 PAPER_SAMPLING_BUDGET = 40_000
 
-#: Scaled-down default used by the shipped benchmarks.
+#: Scaled-down default sampling budget of ``repro experiments --budget``.
 DEFAULT_SAMPLING_BUDGET = 1_500
 
 

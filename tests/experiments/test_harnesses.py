@@ -1,32 +1,45 @@
 """Smoke tests of the Fig. 5 / Fig. 6 / Fig. 7 / ablation harnesses.
 
-These run the real harness code end-to-end on a single small model with a
-tiny sampling budget, checking the structure of the outputs rather than the
-paper-scale numbers (the benchmarks regenerate those).
+These compile each suite's jobs, run them through the sweep runner and
+assemble the suite's result on a single small model with a tiny sampling
+budget, checking the structure of the outputs rather than the paper-scale
+numbers (``repro experiments`` at full budget regenerates those).
 """
 
 import math
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.ablations import (
-    run_buffer_allocation_ablation,
-    run_operator_ablation,
+    ablation_result_from_outcomes,
+    compile_buffer_allocation_jobs,
+    compile_operator_ablation_jobs,
 )
-from repro.experiments.fig5 import main as fig5_main
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import REFERENCE_SCHEME, run_fig6, scheme_names
-from repro.experiments.fig7 import main as fig7_main
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig5 import compile_fig5_jobs, fig5_result_from_outcomes
+from repro.experiments.fig6 import (
+    REFERENCE_SCHEME,
+    compile_fig6_jobs,
+    fig6_result_from_outcomes,
+    scheme_names,
+)
+from repro.experiments.fig7 import compile_fig7_jobs, fig7_result_from_outcomes
+from repro.experiments.runner import SweepRunner
 from repro.experiments.settings import ExperimentSettings
 
 TINY = ExperimentSettings(models=("ncf",), sampling_budget=60, seed=0)
 SUBSET_OPTIMIZERS = ("random", "cma", "digamma")
 
 
+def run(jobs):
+    """Outcomes of ``jobs`` run under the TINY settings."""
+    return SweepRunner(jobs, settings=TINY).run()
+
+
 @pytest.fixture(scope="module")
 def fig5_result():
-    return run_fig5("edge", TINY, optimizers=SUBSET_OPTIMIZERS)
+    jobs = compile_fig5_jobs("edge", TINY, SUBSET_OPTIMIZERS)
+    return fig5_result_from_outcomes("edge", SUBSET_OPTIMIZERS, run(jobs))
 
 
 class TestFig5:
@@ -55,8 +68,8 @@ class TestFig5:
                 assert search.evaluations <= TINY.sampling_budget
 
     def test_cli_runs(self, capsys):
-        exit_code = fig5_main(
-            ["--platform", "edge", "--budget", "40", "--models", "ncf"]
+        exit_code = main(
+            ["fig5", "--platform", "edge", "--budget", "40", "--models", "ncf"]
         )
         assert exit_code == 0
         assert "Fig. 5" in capsys.readouterr().out
@@ -64,7 +77,7 @@ class TestFig5:
 
 class TestFig6:
     def test_structure_and_reference(self):
-        result = run_fig6("edge", TINY)
+        result = fig6_result_from_outcomes("edge", run(compile_fig6_jobs("edge", TINY)))
         assert set(result.latency) == {"ncf"}
         assert set(result.latency["ncf"]) == set(scheme_names())
         normalized = result.normalized_latency()
@@ -82,7 +95,8 @@ class TestFig6:
 
 class TestFig7:
     def test_structure(self):
-        result = run_fig7("ncf", "edge", TINY)
+        jobs = compile_fig7_jobs("ncf", "edge", TINY)
+        result = fig7_result_from_outcomes("ncf", "edge", run(jobs))
         assert len(result.solutions) == 3
         for solution in result.solutions.values():
             row = solution.row()
@@ -99,14 +113,15 @@ class TestFig7:
         assert "Fig. 7" in result.report()
 
     def test_cli_runs(self, capsys):
-        exit_code = fig7_main(["--model", "ncf", "--budget", "40"])
+        exit_code = main(["fig7", "--model", "ncf", "--budget", "40"])
         assert exit_code == 0
         assert "Fig. 7" in capsys.readouterr().out
 
 
 class TestAblations:
     def test_operator_ablation_structure(self):
-        result = run_operator_ablation("edge", TINY, models=("ncf",))
+        jobs = compile_operator_ablation_jobs("edge", TINY, models=("ncf",))
+        result = ablation_result_from_outcomes("edge", run(jobs))
         assert set(result.latency) == {"ncf"}
         assert set(result.latency["ncf"]) == {
             "DiGamma",
@@ -117,5 +132,8 @@ class TestAblations:
         assert "DiGamma" in result.report("ablation")
 
     def test_buffer_allocation_ablation_structure(self):
-        result = run_buffer_allocation_ablation("edge", TINY, models=("ncf",))
+        jobs = compile_buffer_allocation_jobs("edge", TINY, models=("ncf",))
+        result = ablation_result_from_outcomes(
+            "edge", run(jobs), metric="latency_area_product"
+        )
         assert set(result.latency["ncf"]) == {"exact", "fill"}

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.experiments.jobs import JobSpec, job_from_dict, job_to_dict
+from repro.experiments.fig5 import compile_fig5_jobs
 from repro.experiments.pareto import (
     PARETO_OBJECTIVES,
     compile_pareto_jobs,
     pareto_result_from_outcomes,
-    verify_store,
 )
 from repro.experiments.runner import ResultStore, SweepRunner
 from repro.experiments.runner import main as experiments_main
@@ -136,10 +136,18 @@ class TestRunnerIntegration:
         )
         assert exit_code == 0
         assert "Pareto front (edge/ncf)" in capsys.readouterr().out
-        assert verify_store(store_path) == []
+        assert experiments_main(["--verify-store", str(store_path)]) == 0
+        assert "1 Pareto front(s) checked" in capsys.readouterr().out
 
 
 class TestVerifyStore:
+    """``repro experiments --verify-store`` checks every stored front."""
+
+    def verify(self, path, capsys):
+        """Exit code and stdout of ``--verify-store`` on ``path``."""
+        exit_code = experiments_main(["--verify-store", str(path)])
+        return exit_code, capsys.readouterr().out
+
     def append_record(self, path, result_payload, job_id="job"):
         record = {"job_id": job_id, "spec": {}, "result": result_payload}
         with open(path, "a") as handle:
@@ -166,35 +174,69 @@ class TestVerifyStore:
             ],
         }
 
-    def test_missing_pareto_records_reported(self, tmp_path):
+    def test_store_without_fronts_passes_and_says_so(self, tmp_path, capsys):
+        # A Pareto smoke that stored no front passes this check; CI counts
+        # the store's "front" lines on top.
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert any("no Pareto records" in p for p in verify_store(path))
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 0
+        assert "0 record(s)" in out and "0 Pareto front(s) checked" in out
 
-    def test_dominated_front_reported(self, tmp_path):
+    def test_scalar_only_store_passes(self, tmp_path, capsys, smoke_settings):
+        path = tmp_path / "scalar.jsonl"
+        jobs = compile_fig5_jobs("edge", smoke_settings, ("random", "digamma"))
+        SweepRunner(jobs, settings=smoke_settings, store=ResultStore(path)).run()
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 0
+        assert "2 job(s) ok" in out and "0 Pareto front(s) checked" in out
+
+    def test_dominated_front_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         self.append_record(
             path, self.base_payload([(1.0, 1.0), (2.0, 2.0)]), job_id="dominated"
         )
-        problems = verify_store(path)
-        assert any("not non-dominated" in p for p in problems)
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 1
+        assert "FAIL: dominated: stored front is not non-dominated" in out
 
-    def test_dropped_batch_path_reported(self, tmp_path):
+    def test_duplicate_front_reported(self, tmp_path, capsys):
+        path = tmp_path / "twice.jsonl"
+        self.append_record(
+            path, self.base_payload([(1.0, 2.0), (1.0, 2.0)]), job_id="twice"
+        )
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 1
+        assert "FAIL: twice: stored front has duplicate vectors" in out
+
+    def test_empty_front_reported(self, tmp_path, capsys):
+        path = tmp_path / "hollow.jsonl"
+        self.append_record(path, self.base_payload([]), job_id="hollow")
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 1
+        assert "FAIL: hollow: empty front" in out
+
+    def test_dropped_batch_path_reported(self, tmp_path, capsys):
         path = tmp_path / "nobatch.jsonl"
         self.append_record(
             path,
             self.base_payload([(1.0, 2.0), (2.0, 1.0)], batch_calls=0),
             job_id="nobatch",
         )
-        problems = verify_store(path)
-        assert any("batch_calls" in p for p in problems)
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 1
+        assert "FAIL: nobatch: batch_calls == 0" in out
 
-    def test_clean_store_passes(self, tmp_path):
+    def test_clean_store_passes(self, tmp_path, capsys):
         path = tmp_path / "good.jsonl"
         self.append_record(
             path, self.base_payload([(1.0, 2.0), (2.0, 1.0)]), job_id="good"
         )
-        assert verify_store(path) == []
+        exit_code, out = self.verify(path, capsys)
+        assert exit_code == 0
+        assert "1 Pareto front(s) checked" in out and "FAIL" not in out
+        report = ResultStore(path).verify()
+        assert report["ok"] and report["fronts"] == 1 and report["problems"] == []
 
 
 def _design_payload():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.experiments.fig5 import compile_fig5_jobs, run_fig5
+from repro.experiments.fig5 import compile_fig5_jobs, fig5_result_from_outcomes
 from repro.experiments.fig6 import compile_fig6_jobs
 from repro.experiments.jobs import (
     JobSpec,
@@ -279,19 +279,20 @@ class TestResume:
         assert any("skip (stored)" in line for line in progress)
 
     def test_resumed_tables_are_byte_identical(self, tmp_path):
-        baseline = run_fig5("edge", TINY, TINY_OPTIMIZERS).report()
+        jobs = compile_fig5_jobs("edge", TINY, TINY_OPTIMIZERS)
+
+        def report(**options):
+            outcomes = SweepRunner(jobs, settings=TINY, **options).run()
+            return fig5_result_from_outcomes("edge", TINY_OPTIMIZERS, outcomes).report()
+
+        baseline = report()
 
         store = ResultStore(tmp_path / "sweep.jsonl")
-        jobs = compile_fig5_jobs("edge", TINY, TINY_OPTIMIZERS)
         SweepRunner(jobs[:1], settings=TINY, store=store).run()  # "killed" sweep
-        resumed = run_fig5(
-            "edge", TINY, TINY_OPTIMIZERS, store=store, resume=True
-        ).report()
+        resumed = report(store=store, resume=True)
         assert resumed == baseline
         # A second resume serves everything from the store, still identical.
-        reloaded = run_fig5(
-            "edge", TINY, TINY_OPTIMIZERS, store=store, resume=True
-        ).report()
+        reloaded = report(store=store, resume=True)
         assert reloaded == baseline
         assert len(store.records()) == len(jobs)
 
@@ -372,6 +373,16 @@ class TestExperimentsCLI:
         out = capsys.readouterr().out
         assert "1 corrupt line(s) removed" in out
         assert store.corrupt_path.exists()
+
+    def test_verify_store_fails_on_a_missing_store(self, tmp_path, capsys):
+        missing = str(tmp_path / "no" / "such.jsonl")
+        assert repro_main(["experiments", "--verify-store", missing]) == 1
+        assert f"{missing}: no such result store" in capsys.readouterr().err
+        # --status and --repair-store still read a missing store as empty.
+        assert repro_main(["experiments", "--status", missing]) == 0
+        assert f"{missing}: 0 job(s)" in capsys.readouterr().out
+        assert repro_main(["experiments", "--repair-store", missing]) == 0
+        assert f"{missing}: 0 record(s) kept" in capsys.readouterr().out
 
     def test_resume_requires_store(self):
         with pytest.raises(SystemExit):

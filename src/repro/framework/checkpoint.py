@@ -313,7 +313,6 @@ def snapshot_tracker_state(tracker) -> Dict[str, Any]:
     state: Dict[str, Any] = {
         "evaluations": tracker.evaluations,
         "batch_calls": tracker.batch_calls,
-        "batched_evaluations": tracker.batched_evaluations,
         "history": [[index, fitness] for index, fitness in tracker.history],
         "best": (
             evaluation_result_to_dict(tracker.best)
@@ -336,7 +335,6 @@ def restore_tracker_state(tracker, state: Dict[str, Any]) -> None:
     """Load :func:`snapshot_tracker_state` output into a fresh tracker."""
     tracker.evaluations = int(state["evaluations"])
     tracker.batch_calls = int(state["batch_calls"])
-    tracker.batched_evaluations = int(state["batched_evaluations"])
     tracker.history = [
         (int(index), float(fitness)) for index, fitness in state["history"]
     ]

@@ -284,7 +284,6 @@ class CoOptimizationFramework:
             sampling_budget=sampling_budget,
             wall_time_seconds=elapsed,
             batch_calls=tracker.batch_calls,
-            batched_evaluations=tracker.batched_evaluations,
         )
 
     # -- checkpoint plumbing -------------------------------------------------

@@ -262,7 +262,6 @@ class ParetoResult:
     #: Batched-view usage of the underlying tracker: multi-objective search
     #: must not silently drop the batched fast path, so runs record it.
     batch_calls: int = 0
-    batched_evaluations: int = 0
 
     @property
     def objective_names(self) -> Tuple[str, ...]:

@@ -62,9 +62,6 @@ class SearchTracker:
         self.evaluations = 0
         #: Number of calls to the batched evaluation views.
         self.batch_calls = 0
-        #: Evaluations performed through the batched views (counted once,
-        #: even when a vector batch is routed through the matrix view).
-        self.batched_evaluations = 0
         self.best: Optional[EvaluationResult] = None
         #: (evaluation index, best fitness so far) recorded at every improvement.
         self.history: List[Tuple[int, float]] = []
@@ -143,7 +140,6 @@ class SearchTracker:
         if len(matrix) == 0:
             return []
         results = self.evaluator.evaluate_matrix(matrix)
-        self.batched_evaluations += len(results)
         for result in results:
             self.evaluations += 1
             self._record(result)

@@ -352,7 +352,6 @@ def pareto_result_to_dict(result: ParetoResult) -> Dict[str, Any]:
         "sampling_budget": result.sampling_budget,
         "wall_time_seconds": result.wall_time_seconds,
         "batch_calls": result.batch_calls,
-        "batched_evaluations": result.batched_evaluations,
         "front": front,
     }
 
@@ -388,7 +387,6 @@ def pareto_result_from_dict(data: Dict[str, Any]) -> ParetoResult:
         sampling_budget=int(data["sampling_budget"]),
         wall_time_seconds=float(data["wall_time_seconds"]),
         batch_calls=int(data.get("batch_calls", 0)),
-        batched_evaluations=int(data.get("batched_evaluations", 0)),
     )
 
 

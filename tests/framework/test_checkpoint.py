@@ -18,10 +18,12 @@ from repro.framework.checkpoint import (
     SearchCheckpoint,
     checkpoint_slug,
     restore_rng_state,
+    restore_tracker_state,
     rng_state_to_jsonable,
 )
 from repro.framework.cooptimizer import CoOptimizationFramework
-from repro.framework.search import SearchInterrupted
+from repro.framework.evaluator import DesignEvaluator
+from repro.framework.search import SearchInterrupted, SearchTracker
 from repro.optim.base import resume_state
 from repro.optim.registry import get_optimizer
 from repro.serialization import evaluation_result_to_dict
@@ -117,6 +119,18 @@ class TestCheckpointStore:
         assert not store.path.exists()
         store.clear()  # idempotent
 
+    def test_retired_counter_key_still_restores(self, tmp_path):
+        # make_checkpoint's tracker state carries batched_evaluations, a
+        # counter trackers no longer keep; such checkpoints still load.
+        store = CheckpointStore(tmp_path, "key")
+        store.save(make_checkpoint())
+        evaluator = DesignEvaluator(get_model("ncf"), EDGE)
+        tracker = SearchTracker(evaluator, evaluator.genome_space(), 120)
+        restore_tracker_state(tracker, store.load().tracker_state)
+        assert (tracker.evaluations, tracker.batch_calls) == (40, 2)
+        assert tracker.history == [(1, 5.0), (17, 4.0)]
+        assert tracker.best is None
+
     def test_save_replaces_previous_checkpoint(self, tmp_path):
         store = CheckpointStore(tmp_path, "key")
         store.save(make_checkpoint(generation=1))
@@ -204,7 +218,7 @@ class TestCheckpointSession:
         session = CheckpointSession(store, np.random.default_rng(0))
         session.close()
         tracker = SimpleNamespace(
-            generation=1, evaluations=0, batch_calls=0, batched_evaluations=0,
+            generation=1, evaluations=0, batch_calls=0,
             history=[], best=None, archive=None,
         )
         session.save(tracker, {"kind": "random"})

@@ -327,7 +327,7 @@ class TestTrackerMatrixViews:
         assert matrix_tracker.history == genome_tracker.history
         assert matrix_tracker.evaluations == genome_tracker.evaluations
         assert matrix_tracker.batch_calls == 1
-        assert matrix_tracker.batched_evaluations == 30
+        assert matrix_tracker.evaluations == 30
 
     def test_truncates_at_the_budget(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)

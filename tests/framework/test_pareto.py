@@ -183,7 +183,6 @@ class TestParetoResultProperties:
             sampling_budget=10,
             wall_time_seconds=1.0,
             batch_calls=2,
-            batched_evaluations=10,
         )
 
     def test_extremes_and_invariants(self):

@@ -179,4 +179,3 @@ class TestPortfolioBudgetAccounting:
         portfolio.run(tracker, np.random.default_rng(3))
         assert tracker.evaluations == 40
         assert tracker.batch_calls > 0
-        assert tracker.batched_evaluations == 40

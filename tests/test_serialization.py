@@ -174,7 +174,6 @@ class TestParetoResultSerialization:
         assert rebuilt.sampling_budget == front.sampling_budget
         assert rebuilt.wall_time_seconds == front.wall_time_seconds
         assert rebuilt.batch_calls == front.batch_calls
-        assert rebuilt.batched_evaluations == front.batched_evaluations
         assert rebuilt.front_values == front.front_values
         for original, copy in zip(front.front, rebuilt.front):
             assert copy.fitness == original.fitness

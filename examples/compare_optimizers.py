@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 
 from repro import EDGE, CoOptimizationFramework, get_model, get_optimizer
+from repro.experiments.runner import bounded, positive_int
 from repro.optim.registry import available_optimizers
 
 
@@ -27,8 +28,8 @@ def main() -> int:
     parser.add_argument("--optimizers", nargs="+",
                         default=["random", "stdga", "cma", "digamma"],
                         help=f"optimizers to compare (available: {available_optimizers()})")
-    parser.add_argument("--budget", type=int, default=1500, help="sampling budget per search")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--budget", type=positive_int, default=1500, help="sampling budget per search")
+    parser.add_argument("--seed", type=bounded(int, 0), default=0, help="random seed")
     args = parser.parse_args()
 
     model = get_model(args.model)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 
 from repro import EDGE, CoOptimizationFramework, GammaMapper, get_dataflow, get_model
+from repro.experiments.runner import bounded, positive_int
 from repro.experiments.settings import make_fixed_hardware
 
 
@@ -28,8 +29,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--models", nargs="+", default=["mnasnet", "bert"],
                         help="models to map onto the fixed accelerator")
-    parser.add_argument("--budget", type=int, default=1500, help="sampling budget per search")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--budget", type=positive_int, default=1500, help="sampling budget per search")
+    parser.add_argument("--seed", type=bounded(int, 0), default=0, help="random seed")
     args = parser.parse_args()
 
     hardware = make_fixed_hardware(EDGE, compute_fraction=0.75)

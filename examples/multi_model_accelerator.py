@@ -22,6 +22,7 @@ import argparse
 
 from repro import EDGE, CoOptimizationFramework, DiGamma, ModelSuite, get_model
 from repro.analysis import compare_designs
+from repro.experiments.runner import bounded, positive_int
 
 
 def main() -> int:
@@ -30,8 +31,8 @@ def main() -> int:
                         help="member models of the suite")
     parser.add_argument("--weights", nargs="+", type=int, default=None,
                         help="relative inference frequency of each model")
-    parser.add_argument("--budget", type=int, default=1500, help="sampling budget per search")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--budget", type=positive_int, default=1500, help="sampling budget per search")
+    parser.add_argument("--seed", type=bounded(int, 0), default=0, help="random seed")
     args = parser.parse_args()
 
     suite = ModelSuite.from_names("suite", args.models, weights=args.weights)

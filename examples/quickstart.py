@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 
 from repro import EDGE, CoOptimizationFramework, DiGamma, get_model
+from repro.experiments.runner import bounded, positive_int
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--model", default="resnet18", help="target DNN model")
-    parser.add_argument("--budget", type=int, default=2000,
+    parser.add_argument("--budget", type=positive_int, default=2000,
                         help="sampling budget (number of evaluated design points)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=bounded(int, 0), default=0, help="random seed")
     args = parser.parse_args()
 
     model = get_model(args.model)
